@@ -2,19 +2,19 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload pop10-sweep --seed 0 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload pop10-sweep --seed 0 --seconds 50 --trace 0
 
 One process, one caller, no threads: the solves of a workload run back to
-back (a closed loop).  The instance is generated once; a *pass* is one
-session build followed by the workload's timed solves, and passes repeat
-until the next one would overrun ``--seconds``.  Every timed solve runs the
-in-house stack with SciPy masked, and its answer is compared with HiGHS on
-the identical inputs after the timed passes.
+back (a closed loop).  A *round* sets the workload up (instance generation
+plus session build) and then runs its timed solves, a *pass*, on that
+set-up; rounds repeat until ``--seconds`` have passed.  Every timed solve
+runs the in-house stack with SciPy masked, and its answer is compared with
+HiGHS on the identical inputs after the timed rounds.
 
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json``.
-``--trace 1`` alternates untraced and traced passes and reports the
+``--trace 1`` alternates untraced and traced rounds and reports the
 per-layer metrics: span times recorded around each layer's public functions
-plus the ``repro.optim.instrumentation`` counters, per pass.  It also writes
+plus the ``repro.optim.instrumentation`` counters, per round.  It also writes
 the span and counter totals to ``.perfbench/`` in the repository root.
 
 The last line of standard output is one JSON object with the keys
@@ -25,29 +25,34 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import gc
 import hashlib
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-#: Set-ups per run: at least this many, and at least this many seconds of
-#: them, so a set-up of milliseconds is sampled often; setup_s is their median.
-MIN_SETUPS = 3
-MIN_SETUP_SECONDS = 0.5
+#: An untraced round repeats its set-up until the set-ups have taken this
+#: long (once at least), so a set-up of milliseconds is sampled hundreds of
+#: times a run, spread over the run like the passes; setup_s is their median.
+SETUP_SECONDS_PER_ROUND = 0.25
 
 #: Counters that are high-water marks: a pass reports their maximum.
 PEAK_COUNTERS = ("peak_nnz", "spike_nnz_peak", "lagrangian_bound_gap")
+
+
+#: ``timer(kind, fn)`` returns ``fn()`` and the seconds it took.
+Timer = Callable[[str, Callable[[], Any]], Tuple[Any, float]]
 
 
 class IsolationError(RuntimeError):
@@ -133,104 +138,164 @@ def _identity(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
     return fn
 
 
+def _status_kb(field: str) -> int:
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise KeyError(field)
+
+
+class PeakMemory:
+    """Peak resident memory the process gains from the last :meth:`reset`.
+
+    :meth:`reset` hands the heap that earlier work freed back to the system,
+    resets the kernel's high-water mark (Linux 4.0 and later) and reads the
+    resident size.  :meth:`peak_mb` is the high-water mark since then less
+    that baseline, so neither the interpreter and its imports nor the work
+    done before count.
+    """
+
+    baseline_kb = 0
+
+    def reset(self) -> None:
+        """Start measuring from the resident size now."""
+        gc.collect()
+        try:
+            libc = ctypes.CDLL(None)
+            libc.malloc_trim.argtypes = [ctypes.c_size_t]
+            libc.malloc_trim.restype = ctypes.c_int
+        except AttributeError:  # not glibc: freed heap stays in the baseline
+            pass
+        else:
+            libc.malloc_trim(0)
+        with open("/proc/self/clear_refs", "w") as refs:
+            refs.write("5")
+        self.baseline_kb = _status_kb("VmRSS")
+
+    def peak_mb(self) -> float:
+        """Megabytes by which the high-water mark exceeds the baseline."""
+        return (_status_kb("VmHWM") - self.baseline_kb) / 1024.0
+
+
+@dataclass
 class Solve:
     """One timed solve: its latency, answer, counters and warnings."""
 
-    __slots__ = ("seconds", "answer", "counters", "warnings")
-
-    def __init__(self, seconds: float, answer: Any, counters: Dict[str, int], warnings: int) -> None:
-        self.seconds = seconds
-        self.answer = answer
-        self.counters = counters
-        self.warnings = warnings
+    seconds: float
+    answer: Any
+    counters: Dict[str, int]
+    warnings: int
 
 
-def run_pass(workload: Any, state: Any, wrap: Any, capture: DiagnosticsCapture) -> List[Solve]:
-    """Run one pass of timed solves on ``state``."""
+def _plain_timer(kind: str, fn: Callable[[], Any]) -> Tuple[Any, float]:
+    from workloads import timed
+
+    return timed(fn)
+
+
+def run_pass(
+    workload: Any,
+    state: Any,
+    wrap: Any,
+    capture: DiagnosticsCapture,
+    keep_counters: bool = True,
+    timer: Timer = _plain_timer,
+) -> List[Solve]:
+    """Run one pass of timed solves on ``state``.
+
+    Without ``keep_counters`` the solves keep no counter snapshot: an
+    untraced run reports none, and keeping them would grow the peak memory
+    it measures by about half a megabyte per ``pop10-drift`` round.
+    """
     from repro.optim import instrumentation as instr
     from workloads import Answer
+
+    def guarded(call: Callable[[], Any]) -> Any:
+        try:
+            return call()
+        except Exception as exc:  # a solve that raises is a failed solve, not a crash
+            return Answer("error", detail=f"{type(exc).__name__}: {exc}")
 
     solves = []
     for call in workload.solves(state, wrap):
         instr.reset()
         warnings = capture.count
         with inhouse_only():
-            start = time.perf_counter()
-            try:
-                answer = call()
-            except Exception as exc:  # a solve that raises is a failed solve, not a crash
-                answer = Answer("error", detail=f"{type(exc).__name__}: {exc}")
-            seconds = time.perf_counter() - start
+            answer, seconds = timer("solve", lambda: guarded(call))
         counters = instr.snapshot()
         if counters["lp_solves"] == 0:
             raise IsolationError(
                 f"{workload.name}: a timed solve made no in-house LP solve "
                 f"(answer {answer}); it was not served by this repository's simplex"
             )
-        solves.append(Solve(seconds, answer, counters, capture.count - warnings))
+        kept = counters if keep_counters else {}
+        solves.append(Solve(seconds, answer, kept, capture.count - warnings))
     return solves
 
 
-def _timed(fn: Callable[..., Any], *args: Any) -> Tuple[Any, float]:
-    gc.collect()  # the previous pass's garbage is not this call's cost
-    start = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - start
+def set_up(
+    workload: Any, seed: int, wrap: Any, min_seconds: float, timer: Timer = _plain_timer
+) -> Tuple[Any, List[float]]:
+    """Set the workload up once, and again until ``min_seconds`` of set-ups.
+
+    Returns the last set-up's state and the time of every set-up.
+    """
+    state, times = None, []
+    while not times or sum(times) < min_seconds:
+        state = None  # the previous set-up's session goes before the next is built
+        gc.collect()  # and its garbage is not this set-up's cost
+        state, seconds = timer(
+            "setup", lambda: workload.build(workload.generate(seed, wrap), wrap)
+        )
+        times.append(seconds)
+    return state, times
 
 
 def measure(name: str, seed: int, seconds: float, trace: bool) -> Dict[str, Any]:
     """Run workload ``name`` and return its metrics, answers and counts."""
+    from calibration import Calibration
     from tracing import Tracer
     from workloads import WORKLOADS, mismatch
 
     workload = WORKLOADS[name]()
+    untraced: List[List[Solve]] = []
+    traced: List[List[Solve]] = []
+    setups: List[float] = []
+    tracer = Tracer() if trace else None
     with DiagnosticsCapture() as capture:
         workload.prepare(seed)
+        calibration = Calibration()
+        memory = PeakMemory()
+        memory.reset()
         start = time.perf_counter()
-        untraced: List[List[Solve]] = []
-        traced: List[List[Solve]] = []
-        tracer: Optional[Tracer] = None
-
-        def one_pass(instance: Any, wrap: Any) -> Tuple[Any, float, List[Solve], float]:
-            state, build_s = _timed(workload.build, instance, wrap)
-            gc.collect()
-            pass_start = time.perf_counter()
-            solves = run_pass(workload, state, wrap, capture)
-            return state, build_s, solves, time.perf_counter() - pass_start + build_s
-
-        instance, generate_s = _timed(workload.generate, seed, _identity)
-        state, build_s, solves, last = one_pass(instance, _identity)
-        setups = [generate_s + build_s]
-        untraced.append(solves)
-        if trace:
-            # Traced and untraced passes alternate, so the tracing overhead is
-            # measured against untraced passes run at the same time.
-            tracer = Tracer()
-            with tracer:
-                # One traced generation: the generation spans are per set-up.
-                workload.generate(seed, tracer.wrap)
+        with calibration:
             while True:
-                state = None  # let the previous pass's session go before the next build
-                with tracer:
-                    state, _, solves, last = one_pass(instance, tracer.wrap)
-                traced.append(solves)
-                if time.perf_counter() - start + last > seconds:
+                state = None
+                state, times = set_up(
+                    workload, seed, _identity, SETUP_SECONDS_PER_ROUND, calibration.time
+                )
+                setups.extend(times)
+                gc.collect()
+                untraced.append(
+                    run_pass(
+                        workload, state, _identity, capture, keep_counters=False, timer=calibration.time
+                    )
+                )
+                if tracer is not None:
+                    # Traced rounds alternate with untraced ones, so the tracing
+                    # overhead is measured against rounds run at the same time.
+                    # A traced round sets up once: its spans are per set-up.
+                    state = None
+                    with tracer:
+                        state, _ = set_up(workload, seed, tracer.wrap, 0.0)
+                        gc.collect()
+                        traced.append(run_pass(workload, state, tracer.wrap, capture))
+                if time.perf_counter() - start >= seconds:
                     break
-                state = None
-                state, _, solves, last = one_pass(instance, _identity)
-                untraced.append(solves)
-        else:
-            while time.perf_counter() - start + last <= seconds:
-                state = None
-                state, _, solves, last = one_pass(instance, _identity)
-                untraced.append(solves)
-        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        if not trace:
-            while len(setups) < MIN_SETUPS or sum(setups) < MIN_SETUP_SECONDS:
-                extra, generate_s = _timed(workload.generate, seed, _identity)
-                setups.append(generate_s + _timed(workload.build, extra, _identity)[1])
-                extra = None
-
+        peak_rss_mb = memory.peak_mb()
+        # Every round generated the same instance from the seed, so one
+        # set of HiGHS answers checks them all.
         references, highs_s = workload.references(state)
 
     failures: List[str] = []
@@ -249,6 +314,8 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> Dict[str, Any]
         "references": references,
         "highs_s": highs_s,
         "peak_rss_mb": peak_rss_mb,
+        "setup_factor": calibration.factor("setup"),
+        "pass_factor": calibration.factor("solve"),
         "wall": wall,
         "latencies": latencies,
         "failures": failures,
@@ -257,10 +324,13 @@ def measure(name: str, seed: int, seconds: float, trace: bool) -> Dict[str, Any]
 
 
 def end_to_end_metrics(run: Dict[str, Any]) -> Dict[str, float]:
-    """The user-visible metrics of an untraced run."""
+    """The user-visible metrics of an untraced run; times in reference seconds."""
     return {
-        "wall_s": statistics.median(run["wall"]),
-        "setup_s": statistics.median(run["setups"]),
+        # The mean pass, i.e. the timed solves' total wall time over the
+        # passes: on a host whose speed switches between two levels for
+        # seconds at a time, it spread less between runs than the median.
+        "wall_s": statistics.fmean(run["wall"]) * run["pass_factor"],
+        "setup_s": statistics.median(run["setups"]) * run["setup_factor"],
         "peak_rss_mb": run["peak_rss_mb"],
     }
 
@@ -270,7 +340,7 @@ def _ratio(num: float, den: float) -> float:
 
 
 def per_layer_metrics(run: Dict[str, Any]) -> Dict[str, float]:
-    """Per-pass layer times and counters of the traced passes."""
+    """Per-round layer times and counters of the traced rounds."""
     traced: List[List[Solve]] = run["traced"]
     passes = len(traced)
     c: Dict[str, float] = {}
@@ -280,7 +350,10 @@ def per_layer_metrics(run: Dict[str, Any]) -> Dict[str, float]:
                 if key in PEAK_COUNTERS:
                     c[key] = max(c.get(key, 0), value)
                 else:
-                    c[key] = c.get(key, 0) + value / passes
+                    c[key] = c.get(key, 0) + value
+    for key in c:
+        if key not in PEAK_COUNTERS:
+            c[key] /= passes
     tracer = run["tracer"]
 
     def total(name: str) -> float:
@@ -292,8 +365,8 @@ def per_layer_metrics(run: Dict[str, Any]) -> Dict[str, float]:
     def calls(name: str) -> float:
         return tracer.span(name).calls / passes
 
-    untraced_wall = statistics.median(run["wall"])
-    traced_wall = statistics.median(sum(s.seconds for s in solves) for solves in traced)
+    untraced_wall = statistics.fmean(run["wall"])
+    traced_wall = statistics.fmean(sum(s.seconds for s in solves) for solves in traced)
     return {
         "topology.generate_s": total("topology.generate"),
         "traffic.generate_s": total("traffic.generate"),
@@ -384,15 +457,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     for why in run["failures"][:10]:
         print(f"perfbench mismatch: {why}")
     latencies = run["latencies"]
-    summary = (
-        f"perfbench {args.workload}: {run['attempted']} solves, fail_frac "
-        f"{failed / run['attempted']:.4f}, {len(run['untraced'])} untraced and "
-        f"{len(run['traced'])} traced passes, solve_ms_p50 "
-        f"{statistics.median(latencies) * 1e3:.3f} ms"
+    print(
+        f"perfbench {args.workload}: {run['attempted']} solves in {len(run['untraced'])} "
+        f"untraced and {len(run['traced'])} traced rounds, {len(run['setups'])} set-ups"
     )
+    # Printed, not gated: see "Metrics" in perfbench/README.md.
+    ungated = {
+        "fail_frac": (failed / run["attempted"], "ratio"),
+        "wall_measured_s": (statistics.fmean(run["wall"]), "s"),
+        "setup_measured_s": (statistics.median(run["setups"]), "s"),
+        "pass_factor": (run["pass_factor"], "ratio"),
+        "setup_factor": (run["setup_factor"], "ratio"),
+        "solve_ms_p50": (statistics.median(latencies) * 1e3, "ms"),
+    }
     if len(latencies) >= 100:
-        summary += f", solve_ms_p90 {statistics.quantiles(latencies, n=10)[-1] * 1e3:.3f} ms"
-    print(summary)
+        ungated["solve_ms_p90"] = (statistics.quantiles(latencies, n=10)[-1] * 1e3, "ms")
+    for name, (value, unit) in ungated.items():
+        print(f"perfbench {args.workload} {name} {value:.6g} {unit} (not gated)")
 
     if args.trace:
         values = per_layer_metrics(run)
@@ -400,9 +481,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         tracer = run["tracer"]
         passes = len(run["traced"])
         ranked = sorted(tracer.stats.items(), key=lambda item: -item[1].self_s)
-        traced_wall = statistics.median(sum(s.seconds for s in solves) for solves in run["traced"])
+        traced_wall = statistics.fmean(sum(s.seconds for s in solves) for solves in run["traced"])
         print(
-            f"perfbench self time per traced pass of {traced_wall:.3f} s: "
+            f"perfbench self time per traced round (its pass {traced_wall:.3f} s): "
             + ", ".join(f"{n} {stats.self_s / passes:.3f} s" for n, stats in ranked[:6])
         )
         out = ROOT / ".perfbench" / f"trace-{args.workload}-seed{args.seed}.json"

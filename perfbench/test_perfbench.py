@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Any, Dict, List
 
@@ -91,6 +93,28 @@ def test_isolation_guard_rejects_solves_without_inhouse_lp() -> None:
 
     with run.DiagnosticsCapture() as capture, pytest.raises(run.IsolationError):
         run.run_pass(NoLp(), None, run._identity, capture)
+
+
+def test_calibration_samples_only_timed_segments() -> None:
+    """Samples fall inside timed segments, are taken off their time, and the
+    previous SIGALRM handler comes back."""
+    from calibration import PERIOD_S, Calibration
+
+    def busy() -> None:
+        end = time.perf_counter() + 10 * PERIOD_S
+        while time.perf_counter() < end:
+            pass
+
+    previous = signal.getsignal(signal.SIGALRM)
+    calibration = Calibration(warm_up=1)
+    with calibration:
+        busy()
+        assert calibration.chunks == {}
+        _, seconds = calibration.time("solve", busy)
+    assert signal.getsignal(signal.SIGALRM) is previous
+    assert calibration.chunks["solve"] >= 5
+    assert seconds < 10 * PERIOD_S <= seconds + calibration.seconds["solve"]
+    assert calibration.factor("solve") > 0
 
 
 def test_diagnostics_are_counted_and_the_handler_restored() -> None:

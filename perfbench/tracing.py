@@ -37,10 +37,7 @@ LAYER_FUNCTIONS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("repro.optim.backend", "SolverSession.update_var_bounds"),
     ),
     "presolve": (("repro.optim.presolve", "presolve"),),
-    "simplex": (
-        ("repro.optim.simplex", "SimplexSolver.solve"),
-        ("repro.optim.simplex", "solve_standard_form"),
-    ),
+    "simplex": (("repro.optim.simplex", "SimplexSolver.solve"),),
     "cuts": (
         ("repro.optim.branch_and_bound", "separate_cover_cuts"),
         ("repro.optim.branch_and_bound", "separate_gomory_cuts"),
