@@ -386,11 +386,7 @@ def _guarantee_for(status: SolveStatus) -> str:
         SolveStatus.UNBOUNDED,
     ):
         return "optimal"  # a conclusive answer, just from a different solver
-    if status in (
-        SolveStatus.TIME_LIMIT,
-        SolveStatus.NODE_LIMIT,
-        SolveStatus.ITERATION_LIMIT,
-    ):
+    if status.is_limit:
         return "bounded-gap"
     return "feasible-only"
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -82,7 +82,7 @@ from repro.optim.cuts import (
 from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
-from repro.optim.simplex import _Basis, _CanonicalLP
+from repro.optim.simplex import SimplexSolver, WarmStart, _Basis, resolve_appended
 from repro.optim.solution import Solution, SolveStatus
 from repro.optim.sparse import matvec
 
@@ -241,31 +241,41 @@ def _rebounded(form: StandardForm, lb: np.ndarray, ub: np.ndarray, zero_objectiv
     )
 
 
+#: A node LP solver: ``(lb, ub, warm basis) -> (solution, basis)``.
+NodeSolver = Callable[[np.ndarray, np.ndarray, object], Tuple[Solution, object]]
+
+
+def _simplex_node_solver(session: SimplexSolver, deadline: Optional[Deadline]) -> NodeSolver:
+    """Node LPs solved in-house on ``session``, warm-started from a parent basis."""
+
+    def solve_simplex(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
+        """Solve one node LP in-house, warm-started from the parent basis."""
+        return session.solve(lb=lb, ub=ub, warm_basis=warm, deadline=deadline)
+
+    return solve_simplex
+
+
 def _make_node_solver(
     form: StandardForm,
     lp_solver: Optional[Callable[[StandardForm], Solution]],
     max_iter: Optional[int],
     deadline: Optional[Deadline] = None,
     pricing: str = "auto",
-) -> Tuple[
-    Callable[[np.ndarray, np.ndarray, object], Tuple[Solution, object]],
-    Optional[object],
-]:
+) -> Tuple[NodeSolver, bool]:
     """Build the per-node LP solver closure.
 
     Three flavors, in order of preference: a user-supplied callable (legacy
     interface, gets a re-bounded ``StandardForm``), SciPy's HiGHS with direct
     bound overrides, or the in-house :class:`~repro.optim.simplex.SimplexSolver`
-    with warm starts.  The second element is the in-house simplex session on
-    that path (``None`` otherwise); the root cut loop reads the factorized
-    basis off it to separate Gomory cuts.
+    with warm starts.  The flag says whether it is the in-house one, whose
+    bases the root cut loop migrates across its cut rounds.
     """
     if lp_solver is not None:
         def solve_custom(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
             """Solve one node LP via the caller-supplied solver (no warm state)."""
             return lp_solver(_rebounded(form, lb, ub)), None
 
-        return solve_custom, None
+        return solve_custom, False
 
     from repro.optim import scipy_backend
 
@@ -278,17 +288,77 @@ def _make_node_solver(
                 None,
             )
 
-        return solve_scipy, None
-
-    from repro.optim.simplex import SimplexSolver
+        return solve_scipy, False
 
     session = SimplexSolver(form, max_iter=max_iter or 100_000, pricing=pricing)
+    return _simplex_node_solver(session, deadline), True
 
-    def solve_simplex(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
-        """Solve one node LP in-house, warm-started from the parent basis."""
-        return session.solve(lb=lb, ub=ub, warm_basis=warm, deadline=deadline)
 
-    return solve_simplex, session
+def _root_cut_loop(
+    form: StandardForm,
+    lp_solver: Optional[Callable[[StandardForm], Solution]],
+    max_iter: Optional[int],
+    deadline: Optional[Deadline],
+    pricing: str,
+    max_cut_rounds: int,
+) -> Tuple[StandardForm, NodeSolver, Optional[_Basis]]:
+    """Cut-and-branch root loop: tighten the root relaxation before branching.
+
+    Each round separates implied-cardinality, cover and (on the in-house
+    simplex path) Gomory mixed-integer cuts against the root optimum,
+    appends them to ``A_ub`` and re-solves the root over the extended form.
+    On the in-house path only the first root solve is cold: every re-solve
+    goes through :func:`repro.optim.simplex.resolve_appended`, the step
+    column generation shares, which migrates the previous round's optimal
+    basis across the appended rows (each cut starts with its slack basic).
+    Returns the extended form, the node LP solver over it, and the root
+    node's warm basis (the last root optimum, without its factorization;
+    ``None`` off the in-house path).  Every cut is valid for the full
+    integer hull, so the tree search (including its rounding heuristic)
+    runs unchanged over the new form.
+    """
+    node_solver, inhouse = _make_node_solver(form, lp_solver, max_iter, deadline, pricing)
+    if deadline is not None and deadline.expired():
+        return form, node_solver, None
+
+    def solve_root(
+        form: StandardForm, warm: Optional[WarmStart]
+    ) -> Tuple[Solution, NodeSolver, Optional[WarmStart]]:
+        """Solve the root LP of ``form``, rewarmed from ``warm`` in-house."""
+        if not inhouse:
+            node_solver, _ = _make_node_solver(form, lp_solver, max_iter, deadline, pricing)
+            return node_solver(form.lb, form.ub, None)[0], node_solver, None
+        session, relax, warm = resolve_appended(
+            form, warm, max_iter=max_iter, pricing=pricing, deadline=deadline
+        )
+        return relax, _simplex_node_solver(session, deadline), warm
+
+    relax, node_solver, warm = solve_root(form, None)
+    for _ in range(max_cut_rounds):
+        if deadline is not None and deadline.expired():
+            break  # whatever was separated so far still tightens the root
+        if relax.status is not SolveStatus.OPTIMAL:
+            break  # infeasible/unbounded roots are the main loop's business
+        x_root = np.array([relax.values[name] for name in form.names])
+        if _fractional_indices(x_root, form.integrality).size == 0:
+            break  # root already integral: no point cutting
+        new_cuts = separate_implied_cardinality_cuts(form, x_root, deadline=deadline)
+        new_cuts += separate_cover_cuts(form, x_root, deadline=deadline)
+        if warm is not None:
+            basis, lp = warm
+            new_cuts += separate_gomory_cuts(lp, basis, form, x_root, deadline=deadline)
+        if not new_cuts:
+            break
+        form = append_cut_rows(form, new_cuts)
+        instr.add("cuts_added", len(new_cuts))
+        relax, node_solver, warm = solve_root(form, warm)
+    if warm is None:
+        return form, node_solver, None
+    # The root node refactorizes the last root basis: every node of the tree
+    # descends from the root's factor, and inheriting the cut rounds' update
+    # file would make the whole tree refactorize sooner and keep more
+    # factorizations alive.
+    return form, node_solver, replace(warm[0], factor=None)
 
 
 def solve_milp(
@@ -364,39 +434,14 @@ def solve_milp(
         raise SolverError(f"cuts must be 'auto' or 'off', got {cuts!r}")
     if deadline is None and time_limit is not None:
         deadline = Deadline(time_limit)
-    node_solver, simplex_session = _make_node_solver(
-        form, lp_solver, max_iter, deadline, pricing=pricing
-    )
     sign = -1.0 if form.maximize else 1.0
-
-    # Cut-and-branch root loop: separate cover and (on the in-house simplex
-    # path) Gomory mixed-integer cuts against the root relaxation, append
-    # them to A_ub, rebuild the node solver over the extended form, repeat.
-    # Every cut is valid for the full integer hull, so the tree search below
-    # (including its rounding heuristic) runs unchanged over the new form.
+    root_warm: Optional[_Basis] = None
     if cuts == "auto" and np.any(np.asarray(form.integrality, dtype=bool)):
-        for _ in range(max_cut_rounds):
-            if deadline is not None and deadline.expired():
-                break  # whatever was separated so far still tightens the root
-            relax, basis = node_solver(form.lb, form.ub, None)
-            if relax.status is not SolveStatus.OPTIMAL:
-                break  # infeasible/unbounded roots are the main loop's business
-            x_root = np.array([relax.values[name] for name in form.names])
-            if _fractional_indices(x_root, form.integrality).size == 0:
-                break  # root already integral: no point cutting
-            new_cuts = separate_implied_cardinality_cuts(form, x_root, deadline=deadline)
-            new_cuts += separate_cover_cuts(form, x_root, deadline=deadline)
-            if simplex_session is not None:
-                lp = getattr(simplex_session, "_lp", None)
-                if isinstance(lp, _CanonicalLP) and isinstance(basis, _Basis):
-                    new_cuts += separate_gomory_cuts(lp, basis, form, x_root, deadline=deadline)
-            if not new_cuts:
-                break
-            form = append_cut_rows(form, new_cuts)
-            instr.add("cuts_added", len(new_cuts))
-            node_solver, simplex_session = _make_node_solver(
-                form, lp_solver, max_iter, deadline, pricing=pricing
-            )
+        form, node_solver, root_warm = _root_cut_loop(
+            form, lp_solver, max_iter, deadline, pricing, max_cut_rounds
+        )
+    else:
+        node_solver, _ = _make_node_solver(form, lp_solver, max_iter, deadline, pricing=pricing)
 
     def relaxation_cost(solution: Solution) -> float:
         """LP objective in minimization sense (undo the model-sense flip)."""
@@ -437,7 +482,9 @@ def solve_milp(
         )
         return probe.status
 
-    root = _Node(bound=-math.inf, order=0, lb=form.lb.copy(), ub=form.ub.copy())
+    root = _Node(
+        bound=-math.inf, order=0, lb=form.lb.copy(), ub=form.ub.copy(), warm_basis=root_warm
+    )
     integral_mask = np.asarray(form.integrality, dtype=bool)
     pseudo = _Pseudocosts(form.c.size)
     # Strong branching probes exist to estimate objective degradation; with a
@@ -642,11 +689,16 @@ def solve_milp(
             )
 
     if incumbent is None:
-        if deadline_hit:
-            instr.add("deadline_expiries")
-            return Solution(status=SolveStatus.TIME_LIMIT, backend="branch-and-bound", iterations=nodes_explored)
-        if limit_hit:
-            return Solution(status=SolveStatus.NODE_LIMIT, backend="branch-and-bound", iterations=nodes_explored)
+        if deadline_hit or limit_hit:
+            # No incumbent: nothing bounds the gap, so it must not read as proven.
+            if deadline_hit:
+                instr.add("deadline_expiries")
+            return Solution(
+                status=SolveStatus.TIME_LIMIT if deadline_hit else SolveStatus.NODE_LIMIT,
+                backend="branch-and-bound",
+                iterations=nodes_explored,
+                gap=math.inf,
+            )
         return Solution(status=SolveStatus.INFEASIBLE, backend="branch-and-bound", iterations=nodes_explored)
 
     # Round integer variables exactly (they are within INT_TOL of integers).

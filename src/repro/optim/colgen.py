@@ -37,12 +37,13 @@ solver option:
   honest relative gap (and ``TIME_LIMIT`` through the one
   :class:`~repro.optim.resilience.Deadline` it was handed) when it stops
   for any other reason.
-* **Warm bases across appends.**  Each master re-solve migrates the
-  previous optimal basis through
-  :func:`repro.optim.simplex.extend_warm_basis`: appended columns enter
-  non-basic at a bound, appended rows enter with their slack basic, and the
-  usual warm-start machinery (primal resume or dual repair) takes it from
-  there.
+* **Warm bases across appends.**  Each master re-solve goes through
+  :func:`repro.optim.simplex.resolve_appended`, the step the root cut loop
+  of branch and bound shares: it migrates the previous optimal basis with
+  :func:`repro.optim.simplex.extend_warm_basis` (appended columns enter
+  non-basic at a bound, appended rows enter with their slack basic), and
+  the usual warm-start machinery (primal resume or dual repair) takes it
+  from there.
 * **Integer completion ("price-and-branch-lite").**  After the LP loop
   converges, :meth:`ColumnGeneration.solve_mip` runs the existing
   cut-and-branch solver over the final restricted master.  The combined
@@ -77,13 +78,7 @@ from repro.optim._types import BoolArray, FloatArray, IntArray
 from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline, record_rung
-from repro.optim.simplex import (
-    SimplexSolver,
-    _Basis,
-    _CanonicalLP,
-    _as_sparse,
-    extend_warm_basis,
-)
+from repro.optim.simplex import WarmStart, _as_sparse, resolve_appended
 from repro.optim.solution import Solution, SolveStatus
 from repro.optim.sparse import SparseMatrix
 
@@ -242,8 +237,7 @@ class ColumnGeneration:
         self.active_mask: BoolArray = np.zeros(self.n, dtype=bool)
         self.active_ub: List[int] = []
         self.active_ub_mask: BoolArray = np.zeros(self.m_ub, dtype=bool)
-        self._token: Optional[_Basis] = None
-        self._prev_lp: Optional[_CanonicalLP] = None
+        self._warm: Optional[WarmStart] = None
         self._master: Optional[StandardForm] = None
         self._master_A_ub: Optional[SparseMatrix] = None
         self._master_A_eq: Optional[SparseMatrix] = None
@@ -431,20 +425,15 @@ class ColumnGeneration:
 
     def _solve_master(
         self, master: StandardForm, deadline: Optional[Deadline]
-    ) -> Tuple[Solution, Optional[_Basis]]:
-        solver = SimplexSolver(master, pricing=self.pricing)
-        lp = solver._ensure_canonical(master.lb, master.ub)
-        warm: Optional[_Basis] = None
-        if self._token is not None and self._prev_lp is not None:
-            warm = extend_warm_basis(self._token, self._prev_lp, lp)
+    ) -> Tuple[Solution, Optional[WarmStart]]:
         instr.add("master_resolves")
-        solution, token = solver.solve(
-            warm_basis=warm, max_iter=self.max_iter, deadline=deadline
+        _, solution, warm = resolve_appended(
+            master, self._warm, max_iter=self.max_iter, pricing=self.pricing, deadline=deadline
         )
         self._iterations += solution.iterations
-        if token is not None:
-            self._token, self._prev_lp = token, solver._lp
-        return solution, token
+        if warm is not None:
+            self._warm = warm
+        return solution, warm
 
     # -- pricing -----------------------------------------------------------
     def _dual_vector(self, solution: Solution) -> FloatArray:
@@ -626,7 +615,13 @@ class ColumnGeneration:
         )
 
     def _bare(self, status: SolveStatus) -> Solution:
-        return Solution(status=status, backend="colgen", iterations=self._iterations)
+        # A limit exit without a point bounds nothing: its gap is unknown.
+        return Solution(
+            status=status,
+            backend="colgen",
+            iterations=self._iterations,
+            gap=math.inf if status.is_limit else 0.0,
+        )
 
     # -- driver ------------------------------------------------------------
     def solve_lp(self, deadline: Optional[Deadline] = None) -> Solution:
@@ -658,7 +653,7 @@ class ColumnGeneration:
             self._recompute_aggregates()
             self._activate_forced_rows()
             master = self._build_master()
-            solution, token = self._solve_master(master, deadline)
+            solution, warm = self._solve_master(master, deadline)
             self.rounds += 1
             instr.add("colgen_rounds")
 
@@ -676,7 +671,7 @@ class ColumnGeneration:
                 # column with a same-sign coefficient would have activated
                 # the row already).
                 return self._bare(SolveStatus.UNBOUNDED)
-            if solution.status is not SolveStatus.OPTIMAL or token is None:
+            if solution.status is not SolveStatus.OPTIMAL or warm is None:
                 if not solution.values:
                     return self._bare(solution.status)
                 x = self._full_point(solution)

@@ -238,7 +238,7 @@ def greedy_form_solve(
     rounds = max_rounds if max_rounds is not None else 4 * (n + m) + 32
     for _ in range(rounds):
         if deadline is not None and deadline.expired():
-            return Solution(status=SolveStatus.TIME_LIMIT, backend="greedy")
+            return Solution(status=SolveStatus.TIME_LIMIT, backend="greedy", gap=math.inf)
         viol = act - form.b_ub if m else np.zeros(0)
         if not np.any(viol > _GREEDY_TOL):
             break

@@ -27,6 +27,7 @@ the >95%-sparse placement models are never densified on this path.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -101,7 +102,9 @@ def solve_lp(
     )
     status = _status_from_scipy(res.success, res.status, timed=time_limit is not None)
     if status is not SolveStatus.OPTIMAL:
-        return Solution(status=status, backend="scipy-linprog")
+        return Solution(
+            status=status, backend="scipy-linprog", gap=math.inf if status.is_limit else 0.0
+        )
     values = {name: float(res.x[i]) for i, name in enumerate(form.names)}
     # Reduced costs (min-sense): HiGHS reports them as the bound multipliers.
     # A variable rests on at most one bound at optimality, so the sum is its
@@ -159,7 +162,9 @@ def solve_mip(
         status = _status_from_scipy(res.success, res.status, timed=time_limit is not None)
         if status is SolveStatus.OPTIMAL:
             status = SolveStatus.ERROR
-        return Solution(status=status, backend="scipy-milp")
+        return Solution(
+            status=status, backend="scipy-milp", gap=math.inf if status.is_limit else 0.0
+        )
     x = np.asarray(res.x, dtype=float)
     # Snap integer variables, HiGHS returns values within its own tolerance.
     for i, flag in enumerate(form.integrality):

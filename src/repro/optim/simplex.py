@@ -56,7 +56,13 @@ column, so partial pricing is unsound there).
 Warm starts (branch-and-bound children, parameterized re-solves) restore
 the parent's basis *and* non-basic bound statuses, refactorize once, and
 repair primal feasibility with a bounded-variable dual simplex; when the
-basis is already primal feasible phase 1 is skipped outright.
+basis is already primal feasible phase 1 is skipped outright.  A basis that
+is dual infeasible as well (a re-solve that patched both right-hand sides
+and costs) is repaired on *shifted* costs, which zero its wrong-signed
+reduced costs, and phase 2 then finishes on the true costs; so a warm start
+falls back to a cold solve only when the repair stalls or the basis is
+numerically unusable.  :func:`resolve_appended` carries a basis across
+appended columns and rows (column-generation masters, root cut rounds).
 
 Options honored (see :func:`repro.optim.backend.solve_model`):
 
@@ -291,6 +297,11 @@ class _Basis:
     n_cols: int
     free_mask: np.ndarray
     factor: Optional["_BasisFactor"] = None
+
+
+#: A warm-start basis paired with the canonical LP it is a basis of: what
+#: :func:`resolve_appended` needs to carry the basis across an append.
+WarmStart = Tuple[_Basis, _CanonicalLP]
 
 
 def _basis_compatible(basis: Optional[_Basis], lp: _CanonicalLP) -> bool:
@@ -984,10 +995,16 @@ def _dual_iterations(
 
     Returns ``("feasible", iters)`` when every basic value is back inside
     its bounds, ``("infeasible", iters)`` when a violated row admits no
-    entering column (proof of primal infeasibility), ``("deadline", iters)``
-    when the wall-clock budget expired, or ``("stalled", iters)`` when the
-    iteration budget runs out or a pivot is numerically unusable, in which
-    case the caller falls back to a cold solve.
+    entering column or the bound-flipping ratio test flipped every one of
+    them without reaching the row's bound (proof of primal infeasibility),
+    ``("deadline", iters)`` when the wall-clock budget expired, or
+    ``("stalled", iters)`` when the iteration budget runs out or a pivot is
+    numerically unusable, in which case the caller falls back to a cold
+    solve.
+
+    Both infeasibility exits read only the pivot row and the bounds, never
+    ``costs``, so they stay proofs when the caller runs the loop on shifted
+    costs (see :func:`_warm_solve`).
     """
     lp = state.lp
     A, m, n_cols = lp.A, lp.m, lp.n
@@ -1051,10 +1068,13 @@ def _dual_iterations(
         # Because every flipped candidate's ratio is below the eventual pivot
         # ratio, the closing pivot's price update gives each flipped column
         # exactly the reduced-cost sign its new bound requires, so dual
-        # feasibility survives.  The sequence must end in a real pivot: if
-        # the candidates run out, or a flip alone drops the row inside its
-        # bounds, the flipped columns' prices are left inconsistent, so we
-        # return "stalled" and let the caller cold-solve.
+        # feasibility survives.  The sequence must end in a real pivot.  If
+        # the candidates run out with the row still violated, every column
+        # that can move the row has reached the bound that helps it most, so
+        # no point of the box satisfies the row: "infeasible".  If a flip
+        # alone drops the row inside its bounds, the flipped columns' prices
+        # are left inconsistent, so we return "stalled" and let the caller
+        # cold-solve.
         pivoted = False
         for q_raw in order:
             q = int(q_raw)
@@ -1117,7 +1137,7 @@ def _dual_iterations(
             pivoted = True
             break
         if not pivoted:
-            return "stalled", iterations
+            return "infeasible", iterations
     return "stalled", iterations
 
 
@@ -1231,13 +1251,20 @@ def _warm_solve(
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Resume from a previous basis; ``None`` means fall back to a cold solve.
 
-    The basis is refactorized once and accepted when it is *either* primal
-    feasible under the current data (resume phase 2 directly) *or* dual
-    feasible (the typical state after a branching bound change, repaired
-    with bounded dual simplex pivots).  ``fresh_factor=True`` skips the
-    stored-factorization resume and refactorizes from scratch -- the
-    "refactorize" rung of the recovery ladder, retried after the stored
-    factors produced numerical garbage.
+    The basis is refactorized once.  When it is primal feasible under the
+    current data, phase 2 resumes directly.  Otherwise bounded dual simplex
+    pivots repair primal feasibility and phase 2 finishes on the true
+    costs.  A basis that is dual infeasible too (a patched right-hand side
+    *and* objective, as in the PPME* re-solves) is first made dual feasible
+    by *cost shifting*: each wrong-signed non-basic column's cost is moved
+    by its reduced cost, which zeroes that reduced cost and leaves the dual
+    prices untouched.  The dual loop's infeasibility proofs do not read the
+    costs, so they hold under the shift.  ``None`` is left for a stalled
+    repair and for a basis that cannot be factorized or no longer satisfies
+    the constraints.  ``fresh_factor=True`` skips the stored-factorization
+    resume and refactorizes from scratch -- the "refactorize" rung of the
+    recovery ladder, retried after the stored factors produced numerical
+    garbage.
     """
     m, n_cols = lp.m, lp.n
     basis = token.basis.copy()
@@ -1293,6 +1320,13 @@ def _warm_solve(
     if m and np.max(np.abs(gap)) > 1e-6 * scale:
         return None
 
+    lB = lower_ext[basis]
+    uB = upper_ext[basis]
+    primal_ok = bool(np.all(state.xB >= lB - _WARM_FEAS_TOL) and np.all(state.xB <= uB + _WARM_FEAS_TOL))
+    if primal_ok:
+        np.clip(state.xB, lB, uB, out=state.xB)
+        return _finish_primal(state, max_iter, 0, deadline=deadline, pricing=pricing)
+
     costs = np.concatenate((lp.c, np.zeros(m)))
     y = state.factor.btran(costs[basis])
     d = lp.c - lp.A.rmatvec(y)
@@ -1301,15 +1335,10 @@ def _warm_solve(
         ((st == AT_LOWER) & (d < -_WARM_FEAS_TOL))
         | ((st == AT_UPPER) & (d > _WARM_FEAS_TOL))
     )
-    dual_ok = not np.any(dual_bad)
-    lB = lower_ext[basis]
-    uB = upper_ext[basis]
-    primal_ok = bool(np.all(state.xB >= lB - _WARM_FEAS_TOL) and np.all(state.xB <= uB + _WARM_FEAS_TOL))
-    if primal_ok:
-        np.clip(state.xB, lB, uB, out=state.xB)
-        return _finish_primal(state, max_iter, 0, deadline=deadline, pricing=pricing)
-    if not dual_ok:
-        return None
+    # Cost shifting: the dual loop runs on costs under which the basis is
+    # dual feasible; _finish_primal below prices with the true costs again.
+    costs[:n_cols][dual_bad] -= d[dual_bad]
+    d[dual_bad] = 0.0
     if faultinject.ACTIVE and faultinject.should(faultinject.WARM_REPAIR):
         dual_status, dual_iters = "stalled", 0
     else:
@@ -1337,10 +1366,10 @@ def extend_warm_basis(
 ) -> Optional[_Basis]:
     """Migrate a warm-start basis across appended columns and ``<=`` rows.
 
-    The column-generation restricted master grows strictly by appending:
-    new structural columns after the existing ones and new inequality rows
-    after the existing inequality block (equality rows are never added or
-    reordered).  Under that discipline every old basic variable keeps a
+    The column-generation restricted master and the branch-and-bound root
+    cut rounds grow strictly by appending: new structural columns after the
+    existing ones and new inequality rows after the existing inequality
+    block (equality rows are never added or reordered).  Under that discipline every old basic variable keeps a
     well-defined home in the new canonical layout -- structural columns keep
     their index, slack ``i`` moves from ``n_exp_old + i`` to
     ``n_exp_new + i``, and a leftover phase-1 artificial follows its row --
@@ -1426,7 +1455,9 @@ def _solution_from_canonical(
         return Solution(status=SolveStatus.UNBOUNDED, backend="simplex", iterations=iterations)
     if status == "deadline":
         instr.add("deadline_expiries")
-        return Solution(status=SolveStatus.TIME_LIMIT, backend="simplex", iterations=iterations)
+        return Solution(
+            status=SolveStatus.TIME_LIMIT, backend="simplex", iterations=iterations, gap=math.inf
+        )
     if y is None:
         raise InternalSolverError(
             f"simplex reported status {status!r} without a solution vector"
@@ -1701,6 +1732,33 @@ class SimplexSolver:
             # the column-generation pricing oracle consumes these.
             solution.duals = y_dual.copy()
         return solution, token
+
+
+def resolve_appended(
+    form: StandardForm,
+    previous: Optional[WarmStart],
+    max_iter: Optional[int] = None,
+    pricing: str = "auto",
+    deadline: Optional[Deadline] = None,
+) -> Tuple[SimplexSolver, Solution, Optional[WarmStart]]:
+    """Re-lower a form grown by appends, migrate the old basis onto it, solve.
+
+    The "append and rewarm" step shared by the column-generation restricted
+    master (re-solved after column and row admissions) and the
+    branch-and-bound root cut loop (re-solved after cut rows are appended).
+    ``previous`` is the optimal basis of the form before the append with its
+    canonical LP; :func:`extend_warm_basis` carries it across the appended
+    columns and rows, and the solve starts from it (cold when ``previous``
+    is ``None`` or the two lowerings are not related by an append).
+    Returns the solver, whose canonical structure later solves of ``form``
+    reuse, the solution, and the warm start for the next append (``None``
+    when the solve produced no basis).
+    """
+    solver = SimplexSolver(form, max_iter=max_iter or 100_000, pricing=pricing)
+    lp = solver._ensure_canonical(form.lb, form.ub)
+    warm = None if previous is None else extend_warm_basis(previous[0], previous[1], lp)
+    solution, token = solver.solve(warm_basis=warm, deadline=deadline)
+    return solver, solution, None if token is None else (token, lp)
 
 
 def solve_standard_form(

@@ -35,6 +35,11 @@ class SolveStatus(enum.Enum):
         """True when the solver proved optimality."""
         return self is SolveStatus.OPTIMAL
 
+    @property
+    def is_limit(self) -> bool:
+        """True when the solve stopped at a time, node or iteration budget."""
+        return self in (SolveStatus.TIME_LIMIT, SolveStatus.NODE_LIMIT, SolveStatus.ITERATION_LIMIT)
+
 
 @dataclass(frozen=True)
 class Degradation:
@@ -85,7 +90,8 @@ class Solution:
         when the backend reports them.
     gap:
         Relative optimality gap for MILP solves that stopped at a limit;
-        0.0 for proven optima.
+        0.0 for proven optima.  A limit exit without an incumbent has no
+        point to measure a gap from and reports ``math.inf``, never 0.0.
     reduced_costs:
         Optional per-variable reduced costs of an optimal LP basis, in the
         *minimization* sense and aligned with the form's variable order.

@@ -372,7 +372,11 @@ def _ppm_session(problem: PPMProblem, backend: str, options: Mapping[str, object
     per_problem = _ppm_sessions.setdefault(problem, {})
     entry = per_problem.get(key)
     if entry is None or entry[0] != signature:
-        entry = per_problem[key] = (signature, PPMSession(problem, backend=resolved, **options))
+        # The session sees its problem through a weak proxy: a cached value
+        # that referenced its own key would keep the entry, and the lowered
+        # model, alive after the caller dropped the problem.
+        session = PPMSession(weakref.proxy(problem), backend=resolved, **options)
+        entry = per_problem[key] = (signature, session)
     return entry[1]
 
 

@@ -11,6 +11,8 @@ alongside.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,7 @@ class TestColgenDifferential:
         with faultinject.inject(plan):
             sol = colgen.solve_form_colgen(form, is_mip=False, options={}, deadline=deadline)
         assert sol.status is SolveStatus.TIME_LIMIT
+        assert not sol.values and math.isinf(sol.gap)  # no point, no finite gap
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ class TestHintsAndWarmBases:
         _assert_matches(sol, mono, "warm appends")
         snap = instr.snapshot()
         assert snap["master_resolves"] >= 2, "expected a multi-round run"
-        assert engine._token is not None, "warm basis token was not retained"
+        assert engine._warm is not None, "warm basis token was not retained"
 
     def test_session_resolve_reuses_colgen_state(self):
         m = Model("colgen-session")

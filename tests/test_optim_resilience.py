@@ -286,6 +286,7 @@ class TestDeadlinePropagation:
         with faultinject.inject(FaultPlan(jump_clock_after=1)):
             sol = solve_standard_form(_lp_form(), deadline=Deadline(3600.0))
         assert sol.status is SolveStatus.TIME_LIMIT
+        assert math.isinf(sol.gap)
         assert instr.get("deadline_expiries") == 1
 
     def test_branch_and_bound_deadline_is_time_limit_not_node_limit(self):
@@ -447,3 +448,4 @@ class TestGreedyDegradation:
         time.sleep(5e-3)
         sol = greedy_form_solve(_lp_form(), deadline=d)
         assert sol.status is SolveStatus.TIME_LIMIT
+        assert math.isinf(sol.gap)

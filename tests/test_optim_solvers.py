@@ -332,6 +332,15 @@ class TestMilpStatusEdges:
         sol = solve_milp(form, max_nodes=0)
         assert sol.status is SolveStatus.NODE_LIMIT
         assert sol.iterations == 0
+        assert math.isinf(sol.gap)  # no incumbent: nothing is proven
+
+    def test_deadline_without_incumbent_reports_infinite_gap(self):
+        form = _fractional_root_mip().to_standard_form()
+        with faultinject.inject(FaultPlan(jump_clock_after=1)):
+            sol = solve_milp(form, time_limit=3600.0)
+        assert sol.status is SolveStatus.TIME_LIMIT
+        assert sol.objective is None and not sol.values
+        assert math.isinf(sol.gap)
 
     def test_same_instance_solves_with_budget(self):
         form = _fractional_root_mip().to_standard_form()

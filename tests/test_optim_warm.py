@@ -1,0 +1,150 @@
+"""Warm re-solve chains: each chain pays for one cold solve, the first.
+
+A re-solve that holds a basis must not throw it away.  These tests count
+calls to :func:`repro.optim.simplex._cold_solve_resilient` across chains of
+re-solves that used to restart cold:
+
+* a patched basis that is both primal and dual infeasible (the PPME*
+  controller re-solves) is repaired under shifted costs;
+* an exhausted bound-flipping ratio test proves infeasibility instead of
+  stalling into a cold solve;
+* the branch-and-bound root cut rounds migrate each round's basis across the
+  appended cut rows.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.optim import Model, SolveStatus, lin_sum, scipy_backend
+from repro.optim import instrumentation as instr
+from repro.optim import simplex as simplex_mod
+from repro.optim.branch_and_bound import solve_milp
+from repro.optim.errors import InfeasibleError
+from repro.optim.simplex import SimplexSolver, solve_standard_form
+
+
+@pytest.fixture
+def cold_solves(monkeypatch):
+    """A one-element list counting cold solves while the test runs."""
+    count = [0]
+    cold = simplex_mod._cold_solve_resilient
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(simplex_mod, "_cold_solve_resilient", counted)
+    return count
+
+
+def test_exhausted_bound_flips_prove_infeasibility(cold_solves):
+    # min sum (1 + 0.1 i) x_i, x in [0, 1]^4, sum x >= 1: x_0 is basic at 1.
+    # At rhs 7.5 the dual repair flips x_1..x_3 to their upper bounds and the
+    # cover row is still short by 3.5 -- no point of the box reaches it.
+    m = Model("short-cover", sense="min")
+    xs = [m.add_var(f"x{i}", lb=0.0, ub=1.0) for i in range(4)]
+    m.add_constr(lin_sum(xs) >= 1.0, name="cover")
+    m.set_objective(lin_sum((1.0 + 0.1 * i) * x for i, x in enumerate(xs)))
+    form = m.to_standard_form()
+    solver = SimplexSolver(form)
+    first, basis = solver.solve()
+    assert first.objective == pytest.approx(1.0)
+    assert cold_solves[0] == 1
+    form.b_ub[0] = -7.5  # the cover row is lowered as -sum x <= -rhs
+    instr.reset()
+    sol, _ = solver.solve(warm_basis=basis)
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert instr.get("warm_repair_stalls") == 0
+    assert instr.get("pivots") == 0  # no primal pivots: the proof is all dual
+    assert cold_solves[0] == 1
+
+
+def test_cost_shifted_repair_matches_cold_solves(cold_solves):
+    # Patch costs and right-hand sides together so the old basis is usually
+    # both primal and dual infeasible; every warm answer must equal a cold
+    # solve of the same data, and no warm re-solve may fall back cold.
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        m = Model(f"patched-{trial}", sense="min")
+        xs = [m.add_var(f"x{i}", lb=0.0, ub=float(rng.uniform(1, 4))) for i in range(6)]
+        for r in range(4):
+            coeffs = rng.uniform(0.0, 2.0, size=6)
+            m.add_constr(lin_sum(float(c) * x for c, x in zip(coeffs, xs)) >= 2.0, name=f"r{r}")
+        m.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(0.5, 3, size=6), xs)))
+        form = m.to_standard_form()
+        solver = SimplexSolver(form)
+        _, basis = solver.solve()
+        for _ in range(4):
+            form.b_ub[:] = -rng.uniform(0.5, 12.0, size=form.b_ub.size)
+            form.c[:] = rng.uniform(0.5, 3.0, size=form.c.size)
+            before = cold_solves[0]
+            warm, token = solver.solve(warm_basis=basis)
+            assert cold_solves[0] == before, f"trial {trial}"
+            cold = solve_standard_form(form)
+            assert warm.status is cold.status, f"trial {trial}"
+            if cold.objective is not None:
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-7), f"trial {trial}"
+                basis = token
+
+
+def test_ppme_star_drift_chain_solves_cold_once(cold_solves):
+    # Section 5.4: devices frozen at the PPME optimum, sampling rates
+    # re-optimised at each of 20 one-step drifts of the traffic (3 of them
+    # infeasible).  Only the session's first solve may be cold.
+    from repro.passive.dynamic import TrafficDriftModel
+    from repro.passive.sampling import PPMESession, SamplingProblem, solve_ppme
+    from repro.topology import paper_pop
+    from repro.traffic import generate_traffic_matrix
+
+    base = generate_traffic_matrix(paper_pop("pop10", seed=0), seed=0)
+    problem = SamplingProblem(traffic=base, coverage=0.9)
+    installed = solve_ppme(problem, backend="scipy").monitored_links
+    drift = TrafficDriftModel(volatility=0.15, burst_probability=0.05)
+    rng = random.Random(0)
+    steps = [drift.evolve(base, rng) for _ in range(20)]
+
+    def answers(backend):
+        session = PPMESession(problem, installed, backend=backend)
+        out = []
+        for traffic in steps:
+            try:
+                session.reoptimize(traffic)
+            except InfeasibleError:
+                out.append(None)
+            else:
+                out.append(session.model.solution.objective)
+        return out
+
+    inhouse = answers("simplex")
+    assert cold_solves[0] == 1
+    highs = answers("scipy")
+    assert sum(a is None for a in highs) == 3
+    for step, (got, ref) in enumerate(zip(inhouse, highs)):
+        if ref is None:
+            assert got is None, f"step {step}"
+        else:
+            assert got == pytest.approx(ref, rel=1e-6), f"step {step}"
+
+
+def test_root_cut_rounds_solve_cold_once(monkeypatch, cold_solves):
+    # The 12-binary cover MILP of the one-canonicalization contract, this
+    # time with the root cut loop on: every round after the first, and the
+    # root node, start from the previous round's migrated basis.
+    monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+    rng = np.random.default_rng(3)
+    model = Model("cover", sense="min")
+    xs = [model.add_var(f"z{i}", vartype="binary") for i in range(12)]
+    for _ in range(8):
+        coeffs = rng.uniform(0.1, 1.0, size=12)
+        model.add_constr(lin_sum(float(c) * x for c, x in zip(coeffs, xs)) >= 2.0)
+    model.set_objective(lin_sum(float(w) * x for w, x in zip(rng.uniform(1, 3, size=12), xs)))
+    instr.reset()
+    solution = solve_milp(model.to_standard_form(), cuts="auto")
+    assert solution.is_optimal
+    assert solution.objective == pytest.approx(6.884114, abs=1e-6)
+    assert instr.get("cuts_added") > 0
+    assert cold_solves[0] == 1

@@ -1,5 +1,8 @@
 """Tests for the MIP placement formulations and their variants."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.optim.errors import InfeasibleError
@@ -158,6 +161,17 @@ class TestPPMSessionCache:
         ]
         assert len(sessions) == 1  # one lowered model served every variant
         assert sessions[0].solves == 3
+
+    def test_cached_session_dies_with_its_problem(self, small_traffic):
+        # The cache is weak in its problem, so the cached session must not
+        # hold the problem strongly, or every solve_ilp problem (and its
+        # lowered model) lives for the rest of the process.
+        problem = PPMProblem(small_traffic, coverage=0.9)
+        solve_ilp(problem)
+        alive = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert alive() is None  # and with it the cache entry
 
     def test_mutated_problem_invalidates_cached_session(self, small_traffic):
         # PPMProblem is mutable; a changed coverage target must not be
