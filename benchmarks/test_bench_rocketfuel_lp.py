@@ -7,9 +7,10 @@ formulation (Linear program 2) on a Rocketfuel-like synthetic ISP topology
 -- ~1,300 canonical columns, ~970 inequality rows -- and solves its root LP
 relaxation with the in-house simplex under two configurations:
 
-* **baseline**: dense product-form eta updates (``_FORCE_DENSE_ETA``) and
-  Dantzig pricing -- the numeric core as it stood before the Forrest-Tomlin
-  work, with a bounded iteration budget;
+* **baseline**: dense product-form eta updates (the ``DenseEtaFactor`` test
+  oracle of ``tests/test_optim_sparse.py``, patched in for ``_BasisFactor``)
+  and Dantzig pricing -- the numeric core as it stood before the
+  Forrest-Tomlin work, with a bounded iteration budget;
 * **new**: sparse Forrest-Tomlin spike updates and devex/partial pricing
   (the ``pricing="auto"`` resolution at this size).
 
@@ -41,6 +42,8 @@ from repro.passive.ilp import PPMSession
 from repro.passive.problem import PPMProblem
 from repro.topology import synthetic_rocketfuel
 from repro.traffic import DemandConfig, generate_traffic_matrix
+
+from tests.test_optim_sparse import DenseEtaFactor
 
 #: Fraction of ingress/egress pairs carrying demand.  0.03 puts the lowered
 #: root relaxation at ~1,300 columns / ~970 rows -- the smallest size where
@@ -87,7 +90,7 @@ def test_gate_rocketfuel_root_relaxation_speedup(
     instr.reset()
     start = time.perf_counter()
     base_status = "no-convergence"
-    with mock.patch.object(simplex, "_FORCE_DENSE_ETA", True):
+    with mock.patch.object(simplex, "_BasisFactor", DenseEtaFactor):
         try:
             base_solution = solve_standard_form(
                 form, pricing="dantzig", max_iter=_BASELINE_MAX_ITER

@@ -65,19 +65,14 @@ CPLEX plays in the original article:
 Pricing and basis-update strategy
 ---------------------------------
 
-The revised simplex has two independent performance axes, each with a
-scale-dependent default and an explicit override:
+The revised simplex has two independent performance axes:
 
 * **Basis updates.**  Pivots are recorded as *Forrest-Tomlin sparse
   spikes* -- the compressed nonzeros of the transformed entering column
   plus its pivot row -- so applying the update file during FTRAN/BTRAN
   costs O(nnz-of-spike) instead of O(m) per update.  The factor
   refactorizes when the spike count or the stored-nonzero budget is
-  exhausted, whichever comes first.  The pre-Forrest-Tomlin dense
-  product-form eta file is kept as the equivalence reference behind the
-  ``REPRO_FORCE_DENSE_ETA`` environment toggle (a CI leg re-runs the
-  solver suites with it on; both representations must be the same
-  operator).
+  exhausted, whichever comes first.
 * **Pricing.**  The ``pricing`` solver option takes ``"auto"``
   (default), ``"dantzig"`` or ``"devex"`` and threads through every
   in-house path (simplex backend, branch-and-bound node LPs, the CLI
@@ -87,8 +82,7 @@ scale-dependent default and an explicit override:
   over the CSC columns, which is what converges on the massively
   primal-degenerate coverage LPs at Rocketfuel size (Dantzig
   deterministically stalls there).  ``"auto"`` resolves to devex at or
-  above 600 canonical columns; the ``REPRO_PRICING`` environment
-  variable overrides the auto resolution (explicit arguments win).
+  above 600 canonical columns.
   Bland's rule remains the anti-cycling escape of last resort in every
   mode, and primal-degenerate stalls escalate to the recovery ladder's
   bound-shift rung rather than spinning.

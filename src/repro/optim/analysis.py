@@ -43,8 +43,7 @@ Severities: ``error`` findings make ``check="strict"`` solves raise
 findings are reported through :mod:`repro.optim.diagnostics` under
 ``check="warn"`` but never block a solve.
 
-The analyzer never densifies: every pass works on the CSC arrays (or on the
-legacy dense matrices when a model was lowered with ``sparse=False``) in
+The analyzer never densifies: every pass works on the CSC arrays in
 O(nnz log nnz) time, so it is safe to leave ``check="warn"`` on in
 production solve loops.
 """
@@ -53,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,29 +129,14 @@ def has_errors(diagnostics: Iterable[Diagnostic]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _coo(matrix: Union[FloatArray, SparseMatrix]) -> Tuple[IntArray, IntArray, FloatArray]:
+def _coo(matrix: SparseMatrix) -> Tuple[IntArray, IntArray, FloatArray]:
     """``(rows, cols, vals)`` triplets of the stored entries of ``matrix``."""
-    if isinstance(matrix, SparseMatrix):
-        return (matrix.indices, matrix.col_ids(), matrix.data)
-    dense = np.asarray(matrix, dtype=float)
-    rows, cols = np.nonzero(dense)
-    return (
-        rows.astype(np.int64),
-        cols.astype(np.int64),
-        dense[rows, cols].astype(float),
-    )
+    return (matrix.indices, matrix.col_ids(), matrix.data)
 
 
 #: Public alias: the presolve pass (:mod:`repro.optim.presolve`) reuses the
 #: analyzer's COO extraction as its detection substrate.
 coo_triplets = _coo
-
-
-def _matrix_shape(matrix: Union[FloatArray, SparseMatrix]) -> Tuple[int, int]:
-    shape = matrix.shape
-    if len(shape) != 2:
-        return (-1, -1)
-    return (int(shape[0]), int(shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +175,7 @@ def _check_shapes(form: StandardForm, out: List[Diagnostic]) -> bool:
         )
         ok = False
     for label, matrix, rhs in (("ub", form.A_ub, form.b_ub), ("eq", form.A_eq, form.b_eq)):
-        m_rows, m_cols = _matrix_shape(matrix)
-        if m_rows < 0:
-            out.append(Diagnostic(ERROR, "shape-mismatch", f"A_{label} is not two-dimensional"))
-            ok = False
-            continue
+        m_rows, m_cols = matrix.shape
         if rhs.ndim != 1 or rhs.shape[0] != m_rows:
             out.append(
                 Diagnostic(

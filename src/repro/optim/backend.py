@@ -72,9 +72,8 @@ the branch-and-bound root cutting-plane loop (:mod:`repro.optim.cuts`).
 
 ``decomposition`` (``"auto"`` by default, ``"off"`` | ``"colgen"``) selects
 the restricted-master / pricing column generation of
-:mod:`repro.optim.colgen` on the in-house backends.  ``"auto"`` honors the
-``REPRO_DECOMPOSITION`` environment override and otherwise engages column
-generation once the lowered form is wide enough to pay for it
+:mod:`repro.optim.colgen` on the in-house backends.  ``"auto"`` engages
+column generation once the lowered form is wide enough to pay for it
 (:data:`repro.optim.colgen._COLGEN_MIN_COLS` columns); HiGHS runs its own
 algebra, so the scipy backend accepts the option for portability but
 ignores it.  On a :class:`SolverSession` the column-generation path skips
@@ -118,7 +117,7 @@ from repro.optim.errors import InfeasibleError, ModelError, SolverError, Unbound
 from repro.optim.model import Model, StandardForm, Variable
 from repro.optim.resilience import Deadline, greedy_form_solve, record_rung
 from repro.optim.solution import Degradation, Solution, SolveStatus
-from repro.optim.sparse import SparseMatrix, is_sparse
+from repro.optim.sparse import SparseMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - types only (solvers are imported lazily)
     from repro.optim.colgen import ColGenHints, ColumnGeneration
@@ -199,9 +198,10 @@ def _resolve_backend(backend: str, is_mip: bool) -> str:
 def _check_options(backend: str, options: Dict[str, Any]) -> None:
     """Reject option names the resolved backend does not honor.
 
-    ``time_limit`` values are validated here as well -- a zero, negative or
-    non-finite budget is always a caller bug, and catching it before any
-    solver starts beats a deadline that is born expired (or never expires).
+    Option values are validated here as well, so every entry point (one-shot
+    solves, sessions, the session column-generation path) rejects them
+    before any solver starts.  A zero, negative or non-finite ``time_limit``
+    is always a caller bug: a deadline born expired (or never expiring).
     """
     unknown = set(options) - BACKEND_OPTIONS[backend]
     if unknown:
@@ -222,6 +222,12 @@ def _check_options(backend: str, options: Dict[str, Any]) -> None:
             raise ValueError(
                 f"time_limit must be a positive finite number of seconds, "
                 f"got {time_limit!r}"
+            )
+    if "max_cut_rounds" in options:
+        max_cut_rounds = options["max_cut_rounds"]
+        if not isinstance(max_cut_rounds, int) or max_cut_rounds < 0:
+            raise SolverError(
+                f"max_cut_rounds must be a non-negative integer, got {max_cut_rounds!r}"
             )
     pricing = options.get("pricing")
     if pricing is not None:
@@ -355,11 +361,6 @@ def _dispatch_form(
     from repro.optim.branch_and_bound import solve_milp
     from repro.optim.colgen import resolve_decomposition, solve_form_colgen
 
-    max_cut_rounds = options.get("max_cut_rounds", 5)
-    if not isinstance(max_cut_rounds, int) or max_cut_rounds < 0:
-        raise SolverError(
-            f"max_cut_rounds must be a non-negative integer, got {max_cut_rounds!r}"
-        )
     decomposition = resolve_decomposition(
         options.get("decomposition", "auto"), form.num_vars
     )
@@ -372,7 +373,7 @@ def _dispatch_form(
         mip_gap=options.get("mip_gap"),
         max_iter=options.get("max_iter"),
         cuts=options.get("cuts", "auto"),
-        max_cut_rounds=max_cut_rounds,
+        max_cut_rounds=options.get("max_cut_rounds", 5),
         pricing=options.get("pricing", "auto"),
         deadline=deadline,
     )
@@ -397,6 +398,7 @@ def _run_with_failover(
     backend: str,
     options: Dict[str, Any],
     deadline: Optional[Deadline] = None,
+    failed: Optional[SolverError] = None,
 ) -> Solution:
     """``fallback="auto"`` driver: primary backend, alternate family, greedy.
 
@@ -405,6 +407,9 @@ def _run_with_failover(
     and ``INFEASIBLE``) is a real answer and ends the chain.  Option names
     the alternate backend does not honor are simply not read by its
     dispatch branch, so the merged option dict can ride along unchanged.
+    ``failed`` is the error the primary backend already raised (a
+    :class:`SolverSession` warm simplex solve): the chain then starts at
+    its first hop instead of running the primary again.
     """
     from repro.optim import scipy_backend
 
@@ -418,6 +423,8 @@ def _run_with_failover(
     for pos, alt in enumerate(chain):
         succ = chain[pos + 1] if pos + 1 < len(chain) else "greedy"
         try:
+            if failed is not None and pos == 0:
+                raise failed
             solution = _dispatch_form(form, is_mip, alt, options, deadline)
         except SolverError as exc:
             errors.append(f"{alt}: {exc}")
@@ -553,7 +560,7 @@ class SolverSession:
         self._colgen = None
 
     # -- update surface ----------------------------------------------------
-    def _row(self, name: str) -> Tuple[Union[FloatArray, SparseMatrix], FloatArray, int, float]:
+    def _row(self, name: str) -> Tuple[SparseMatrix, FloatArray, int, float]:
         try:
             kind, row, sign = self.form.row_map[name]
         except KeyError:
@@ -584,17 +591,13 @@ class SolverSession:
     ) -> None:
         """Set one coefficient of constraint ``name`` (model orientation).
 
-        The patch lands directly in the lowered (sparse) matrix; touching a
+        The patch lands directly in the lowered sparse matrix; touching a
         coefficient that is part of the sparsity pattern -- explicit zeros
         included -- is an in-place O(log nnz) update, while introducing a
         brand-new nonzero grows the pattern.
         """
         A, _, row, sign = self._row(name)
-        col = self._var_index(var)
-        if is_sparse(A) and isinstance(A, SparseMatrix):
-            A.set(row, col, sign * float(coeff))
-        else:
-            A[row, col] = sign * float(coeff)
+        A.set(row, self._var_index(var), sign * float(coeff))
         self._coeffs_dirty = True
 
     def update_objective_coeff(self, var: Union[Variable, str], coeff: float) -> None:
@@ -631,54 +634,6 @@ class SolverSession:
         return analysis.enforce(self.form, effective, label=self.model.name)
 
     # -- solving -----------------------------------------------------------
-    def _failover_after_simplex(
-        self, error: SolverError, deadline: Optional[Deadline]
-    ) -> Solution:
-        """Continue the ``fallback="auto"`` chain after a warm solve failed.
-
-        The chain here starts *past* the in-house simplex (it already failed,
-        recovery ladder included): SciPy when importable, then the greedy
-        heuristic.  Runs on the session's patched form without mutating any
-        warm state.
-        """
-        from repro.optim import scipy_backend
-
-        rungs: List[str] = []
-        errors: List[str] = [f"simplex: {error}"]
-        succ = "scipy" if scipy_backend.is_available() else "greedy"
-        rungs.append(f"simplex->{succ}")
-        record_rung(
-            "failover",
-            f"session simplex solve failed ({error}); failing over to {succ!r}",
-        )
-        if succ == "scipy":
-            try:
-                solution = _dispatch_form(self.form, False, "scipy", {}, deadline)
-            except SolverError as exc:
-                errors.append(f"scipy: {exc}")
-            else:
-                if solution.status is not SolveStatus.ERROR:
-                    solution.degradation = Degradation(
-                        rungs=tuple(rungs),
-                        guarantee=_guarantee_for(solution.status),
-                        errors=tuple(errors),
-                    )
-                    return solution
-                errors.append("scipy: returned status 'error'")
-            rungs.append("scipy->greedy")
-            record_rung(
-                "failover", "backend 'scipy' failed; failing over to 'greedy'"
-            )
-        record_rung(
-            "greedy",
-            "every real backend failed; degrading to the greedy feasibility heuristic",
-        )
-        solution = greedy_form_solve(self.form, deadline=deadline)
-        solution.degradation = Degradation(
-            rungs=tuple(rungs), guarantee="feasible-only", errors=tuple(errors)
-        )
-        return solution
-
     def _solve_colgen(self, merged: Dict[str, Any]) -> Solution:
         """Session column-generation path (``decomposition`` -> ``"colgen"``).
 
@@ -784,10 +739,12 @@ class SolverSession:
                 if fallback_mode != "auto":
                     raise
                 # The warm state (patched matrices, stored basis) is left
-                # exactly as it was: the failover solve runs on copies of
-                # the session's form and never touches the simplex solver,
-                # so a later solve() can still warm-start normally.
-                solution = self._failover_after_simplex(exc, deadline)
+                # exactly as it was: the failover chain only reads the
+                # session's form and never touches the simplex solver, so a
+                # later solve() can still warm-start normally.
+                solution = _run_with_failover(
+                    self.form, False, "simplex", merged, deadline, failed=exc
+                )
             else:
                 if token is not None:
                     # Solves that end without a factorized optimal basis

@@ -84,7 +84,6 @@ from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
 from repro.optim.simplex import SimplexSolver, WarmStart, _Basis, resolve_appended
 from repro.optim.solution import Solution, SolveStatus
-from repro.optim.sparse import matvec
 
 #: Tolerance under which a value is considered integral.
 INT_TOL = 1e-6
@@ -108,9 +107,9 @@ def _feasible_point(form: StandardForm, x: np.ndarray) -> bool:
     """Check ``x`` against the *root* bounds and both constraint blocks."""
     if np.any(x < form.lb - _FEAS_TOL) or np.any(x > form.ub + _FEAS_TOL):
         return False
-    if form.b_ub.size and np.any(matvec(form.A_ub, x) > form.b_ub + _FEAS_TOL):
+    if form.b_ub.size and np.any(form.A_ub.matvec(x) > form.b_ub + _FEAS_TOL):
         return False
-    if form.b_eq.size and np.any(np.abs(matvec(form.A_eq, x) - form.b_eq) > _FEAS_TOL):
+    if form.b_eq.size and np.any(np.abs(form.A_eq.matvec(x) - form.b_eq) > _FEAS_TOL):
         return False
     return True
 
@@ -224,10 +223,10 @@ def _fractional_indices(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
     return np.flatnonzero(integral & (distance > INT_TOL))
 
 
-def _rebounded(form: StandardForm, lb: np.ndarray, ub: np.ndarray, zero_objective: bool = False) -> StandardForm:
-    """A view of ``form`` with node bounds (and optionally a zero objective)."""
+def _feasibility_form(form: StandardForm, lb: np.ndarray, ub: np.ndarray) -> StandardForm:
+    """A view of ``form`` with node bounds and a zero objective."""
     return StandardForm(
-        c=np.zeros_like(form.c) if zero_objective else form.c,
+        c=np.zeros_like(form.c),
         A_ub=form.A_ub,
         b_ub=form.b_ub,
         A_eq=form.A_eq,
@@ -236,8 +235,6 @@ def _rebounded(form: StandardForm, lb: np.ndarray, ub: np.ndarray, zero_objectiv
         ub=ub,
         integrality=form.integrality,
         names=form.names,
-        objective_offset=0.0 if zero_objective else form.objective_offset,
-        maximize=False if zero_objective else form.maximize,
     )
 
 
@@ -257,26 +254,17 @@ def _simplex_node_solver(session: SimplexSolver, deadline: Optional[Deadline]) -
 
 def _make_node_solver(
     form: StandardForm,
-    lp_solver: Optional[Callable[[StandardForm], Solution]],
     max_iter: Optional[int],
     deadline: Optional[Deadline] = None,
     pricing: str = "auto",
 ) -> Tuple[NodeSolver, bool]:
     """Build the per-node LP solver closure.
 
-    Three flavors, in order of preference: a user-supplied callable (legacy
-    interface, gets a re-bounded ``StandardForm``), SciPy's HiGHS with direct
-    bound overrides, or the in-house :class:`~repro.optim.simplex.SimplexSolver`
+    Two flavors, in order of preference: SciPy's HiGHS with direct bound
+    overrides, or the in-house :class:`~repro.optim.simplex.SimplexSolver`
     with warm starts.  The flag says whether it is the in-house one, whose
     bases the root cut loop migrates across its cut rounds.
     """
-    if lp_solver is not None:
-        def solve_custom(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
-            """Solve one node LP via the caller-supplied solver (no warm state)."""
-            return lp_solver(_rebounded(form, lb, ub)), None
-
-        return solve_custom, False
-
     from repro.optim import scipy_backend
 
     if scipy_backend.is_available():
@@ -296,7 +284,6 @@ def _make_node_solver(
 
 def _root_cut_loop(
     form: StandardForm,
-    lp_solver: Optional[Callable[[StandardForm], Solution]],
     max_iter: Optional[int],
     deadline: Optional[Deadline],
     pricing: str,
@@ -317,7 +304,7 @@ def _root_cut_loop(
     integer hull, so the tree search (including its rounding heuristic)
     runs unchanged over the new form.
     """
-    node_solver, inhouse = _make_node_solver(form, lp_solver, max_iter, deadline, pricing)
+    node_solver, inhouse = _make_node_solver(form, max_iter, deadline, pricing)
     if deadline is not None and deadline.expired():
         return form, node_solver, None
 
@@ -326,7 +313,7 @@ def _root_cut_loop(
     ) -> Tuple[Solution, NodeSolver, Optional[WarmStart]]:
         """Solve the root LP of ``form``, rewarmed from ``warm`` in-house."""
         if not inhouse:
-            node_solver, _ = _make_node_solver(form, lp_solver, max_iter, deadline, pricing)
+            node_solver, _ = _make_node_solver(form, max_iter, deadline, pricing)
             return node_solver(form.lb, form.ub, None)[0], node_solver, None
         session, relax, warm = resolve_appended(
             form, warm, max_iter=max_iter, pricing=pricing, deadline=deadline
@@ -363,7 +350,6 @@ def _root_cut_loop(
 
 def solve_milp(
     form: StandardForm,
-    lp_solver: Optional[Callable[[StandardForm], Solution]] = None,
     max_nodes: int = 100_000,
     gap_tol: float = 1e-9,
     mip_gap: Optional[float] = None,
@@ -379,14 +365,12 @@ def solve_milp(
     Parameters
     ----------
     form:
-        Problem in standard (minimization) form.
-    lp_solver:
-        Callable solving the LP relaxation of a ``StandardForm``.  Defaults to
-        SciPy's HiGHS LP solver when importable (fast and numerically robust
-        on the larger placement relaxations) and falls back to the in-house
-        simplex (:class:`repro.optim.simplex.SimplexSolver`, with per-node
-        warm starts) otherwise; either way the branch-and-bound logic itself
-        is this module's.
+        Problem in standard (minimization) form.  Node LP relaxations are
+        solved by SciPy's HiGHS when importable (fast and numerically robust
+        on the larger placement relaxations) and by the in-house simplex
+        (:class:`repro.optim.simplex.SimplexSolver`, with per-node warm
+        starts) otherwise; either way the branch-and-bound logic itself is
+        this module's.
     max_nodes:
         Safety limit on the number of explored nodes.  The limit is checked
         *before* a node is popped, so hitting it never discards an open node
@@ -416,8 +400,8 @@ def solve_milp(
     pricing:
         Simplex pricing rule for the in-house node LP path
         (``"auto"`` | ``"dantzig"`` | ``"devex"``, see
-        :mod:`repro.optim.simplex`); ignored when nodes are solved by a
-        custom ``lp_solver`` or SciPy.
+        :mod:`repro.optim.simplex`); ignored when nodes are solved by
+        SciPy.
 
     Returns
     -------
@@ -438,10 +422,10 @@ def solve_milp(
     root_warm: Optional[_Basis] = None
     if cuts == "auto" and np.any(np.asarray(form.integrality, dtype=bool)):
         form, node_solver, root_warm = _root_cut_loop(
-            form, lp_solver, max_iter, deadline, pricing, max_cut_rounds
+            form, max_iter, deadline, pricing, max_cut_rounds
         )
     else:
-        node_solver, _ = _make_node_solver(form, lp_solver, max_iter, deadline, pricing=pricing)
+        node_solver, _ = _make_node_solver(form, max_iter, deadline, pricing=pricing)
 
     def relaxation_cost(solution: Solution) -> float:
         """LP objective in minimization sense (undo the model-sense flip)."""
@@ -471,8 +455,7 @@ def solve_milp(
         budget.
         """
         probe = solve_milp(
-            _rebounded(form, lb, ub, zero_objective=True),
-            lp_solver=lp_solver,
+            _feasibility_form(form, lb, ub),
             max_nodes=max(budget, 1),
             gap_tol=gap_tol,
             max_iter=max_iter,

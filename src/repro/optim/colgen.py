@@ -66,7 +66,6 @@ counted as the ``recovery_reprice`` rung.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -78,7 +77,7 @@ from repro.optim._types import BoolArray, FloatArray, IntArray
 from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline, record_rung
-from repro.optim.simplex import WarmStart, _as_sparse, resolve_appended
+from repro.optim.simplex import WarmStart, resolve_appended
 from repro.optim.solution import Solution, SolveStatus
 from repro.optim.sparse import SparseMatrix
 
@@ -99,11 +98,6 @@ DECOMPOSITION_MODES = ("auto", "off", "colgen")
 #: this the monolithic lowering is small enough that decomposition overhead
 #: cannot pay for itself).
 _COLGEN_MIN_COLS = 4000
-
-#: Environment override consulted by ``"auto"`` resolution (CI matrix legs
-#: force a mode for a whole run without touching call sites), mirroring
-#: ``REPRO_PRICING``.  Explicit option values always win.
-_DECOMP_ENV = os.environ.get("REPRO_DECOMPOSITION", "")
 
 #: Columns priced per ``rmatvec_range`` batch.
 _PRICE_BLOCK = 4096
@@ -136,15 +130,12 @@ def validate_decomposition(value: str) -> str:
 def resolve_decomposition(value: str, n_cols: int) -> str:
     """Resolve ``"auto"`` to a concrete mode for an ``n_cols``-column form.
 
-    Explicit values pass through; ``"auto"`` honors the
-    ``REPRO_DECOMPOSITION`` environment override and otherwise switches to
-    column generation at :data:`_COLGEN_MIN_COLS` columns.
+    Explicit values pass through; ``"auto"`` switches to column generation
+    at :data:`_COLGEN_MIN_COLS` columns.
     """
     validate_decomposition(value)
     if value != "auto":
         return value
-    if _DECOMP_ENV in ("off", "colgen"):
-        return _DECOMP_ENV
     return "colgen" if n_cols >= _COLGEN_MIN_COLS else "off"
 
 
@@ -228,8 +219,8 @@ class ColumnGeneration:
         self.is_mip = is_mip
         self.pricing = pricing
         self.max_iter = max_iter
-        self._A_ub = _as_sparse(form.A_ub)
-        self._A_eq = _as_sparse(form.A_eq)
+        self._A_ub = form.A_ub
+        self._A_eq = form.A_eq
         self.n = form.num_vars
         self.m_ub = self._A_ub.shape[0]
         self.m_eq = self._A_eq.shape[0]
@@ -264,8 +255,6 @@ class ColumnGeneration:
         kept -- the master keeps its shape, so the next solve refactorizes
         once and repairs instead of cold-starting.
         """
-        self._A_ub = _as_sparse(self.form.A_ub)
-        self._A_eq = _as_sparse(self.form.A_eq)
         self._matrices_dirty = True
 
     def _compute_rest(self) -> FloatArray:

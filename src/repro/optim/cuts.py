@@ -57,7 +57,7 @@ from repro.optim._types import FloatArray, IntArray
 from repro.optim.analysis import coo_triplets
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
-from repro.optim.simplex import AT_LOWER, AT_UPPER, BASIC, _Basis, _CanonicalLP
+from repro.optim.simplex import AT_UPPER, BASIC, _Basis, _CanonicalLP
 from repro.optim.sparse import SparseMatrix
 
 __all__ = [

@@ -17,7 +17,7 @@ Lowering is *sparse by default*: the constraint matrices come out as
 constraint terms without ever materializing dense rows -- the placement
 programs of the paper are >95% zeros and every consumer (the sparse revised
 simplex, branch and bound, SciPy's HiGHS) operates on the sparse arrays
-directly.  Pass ``sparse=False`` to get the legacy dense numpy matrices.
+directly.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.optim.errors import ModelError
 from repro.optim.solution import Solution
-from repro.optim.sparse import SparseMatrix, as_dense
+from repro.optim.sparse import SparseMatrix
 
 Number = Union[int, float]
 
@@ -281,10 +281,8 @@ class StandardForm:
 
     ``minimize c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``
     and ``lb <= x <= ub``; ``integrality[i]`` is 1 when variable ``i`` must be
-    integral.  ``A_ub`` / ``A_eq`` are :class:`repro.optim.sparse.SparseMatrix`
-    under the default sparse lowering and plain ``np.ndarray`` under
-    ``to_standard_form(sparse=False)``; both expose ``shape`` and ``size``,
-    and :func:`repro.optim.sparse.as_dense` converts uniformly.
+    integral.  ``A_ub`` / ``A_eq`` are CSC
+    :class:`repro.optim.sparse.SparseMatrix` instances.
 
     ``row_map`` (filled by :meth:`Model.to_standard_form`) maps a constraint
     name to ``(kind, row, sign)`` where ``kind`` is ``"ub"`` or ``"eq"``,
@@ -295,9 +293,9 @@ class StandardForm:
     """
 
     c: np.ndarray
-    A_ub: Union[np.ndarray, SparseMatrix]
+    A_ub: SparseMatrix
     b_ub: np.ndarray
-    A_eq: Union[np.ndarray, SparseMatrix]
+    A_eq: SparseMatrix
     b_eq: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
@@ -485,16 +483,15 @@ class Model:
         return self.num_integer_vars > 0
 
     # -- lowering -----------------------------------------------------------
-    def to_standard_form(self, sparse: bool = True) -> StandardForm:
+    def to_standard_form(self) -> StandardForm:
         """Lower the model to minimization standard form.
 
-        With ``sparse=True`` (the default) the constraint matrices are
-        :class:`repro.optim.sparse.SparseMatrix` in CSC layout, assembled
-        directly from the constraint terms as coordinate triplets; no dense
-        row is ever materialized.  Terms carrying an explicit ``0.0``
-        coefficient are kept in the sparsity pattern, so later in-place
-        session updates of those coefficients stay structural no-ops.
-        ``sparse=False`` produces the equivalent dense numpy matrices.
+        The constraint matrices are :class:`repro.optim.sparse.SparseMatrix`
+        in CSC layout, assembled directly from the constraint terms as
+        coordinate triplets; no dense row is ever materialized.  Terms
+        carrying an explicit ``0.0`` coefficient are kept in the sparsity
+        pattern, so later in-place session updates of those coefficients
+        stay structural no-ops.
         """
         n = self.num_vars
         c = np.zeros(n)
@@ -539,13 +536,11 @@ class Model:
                 ("dup", -1, 0.0) if constr.name in row_map else entry
             )
 
-        A_ub = SparseMatrix.from_coo(ub_r, ub_c, ub_v, (len(ub_rhs), n))
-        A_eq = SparseMatrix.from_coo(eq_r, eq_c, eq_v, (len(eq_rhs), n))
         return StandardForm(
             c=c,
-            A_ub=A_ub if sparse else A_ub.to_dense(),
+            A_ub=SparseMatrix.from_coo(ub_r, ub_c, ub_v, (len(ub_rhs), n)),
             b_ub=np.array(ub_rhs, dtype=float),
-            A_eq=A_eq if sparse else A_eq.to_dense(),
+            A_eq=SparseMatrix.from_coo(eq_r, eq_c, eq_v, (len(eq_rhs), n)),
             b_eq=np.array(eq_rhs, dtype=float),
             lb=np.array([v.lb for v in self.variables], dtype=float),
             ub=np.array([v.ub for v in self.variables], dtype=float),

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.optim import instrumentation as instr
 from repro.optim.analysis import WARNING, Diagnostic
 from repro.optim.model import StandardForm
 from repro.optim.solution import Degradation, Solution, SolveStatus
-from repro.optim.sparse import SparseMatrix, is_sparse
 
 __all__ = [
     "Deadline",
@@ -145,23 +144,6 @@ def record_rung(rung: str, message: str, label: str = "solver") -> None:
 _GREEDY_TOL = 1e-7
 
 
-def _column(matrix: Union[np.ndarray, SparseMatrix], j: int) -> "tuple[np.ndarray, np.ndarray]":
-    """(row indices, values) of the structural nonzeros in column ``j``."""
-    if is_sparse(matrix):
-        return matrix.col(j)
-    col = np.asarray(matrix)[:, j]
-    rows = np.flatnonzero(col)
-    return rows, col[rows]
-
-
-def _activities(matrix: Union[np.ndarray, SparseMatrix], x: np.ndarray) -> np.ndarray:
-    if matrix.shape[0] == 0:
-        return np.zeros(0)
-    if is_sparse(matrix):
-        return matrix.matvec(x)
-    return np.asarray(matrix) @ x
-
-
 def _start_point(form: StandardForm) -> np.ndarray:
     """Cost-minimizing finite bound per variable (0 when both bounds are open)."""
     c = np.asarray(form.c, dtype=float)
@@ -228,13 +210,13 @@ def greedy_form_solve(
         x[ints] = np.clip(np.round(x[ints]), form.lb[ints], form.ub[ints])
 
     if form.A_eq.shape[0]:
-        resid = _activities(form.A_eq, x) - form.b_eq
+        resid = form.A_eq.matvec(x) - form.b_eq
         scale = 1.0 + np.abs(form.b_eq)
         if np.any(np.abs(resid) > 1e-6 * scale):
             return Solution(status=SolveStatus.ERROR, backend="greedy")
 
     m = form.A_ub.shape[0]
-    act = _activities(form.A_ub, x)
+    act = form.A_ub.matvec(x)
     rounds = max_rounds if max_rounds is not None else 4 * (n + m) + 32
     for _ in range(rounds):
         if deadline is not None and deadline.expired():
@@ -244,7 +226,7 @@ def greedy_form_solve(
             break
         best_score, best_move = 0.0, None
         for j in range(n):
-            rows, vals = _column(form.A_ub, j)
+            rows, vals = form.A_ub.col(j)
             if rows.size == 0 or not np.any(viol[rows] > _GREEDY_TOL):
                 continue
             for delta in _candidate_steps(form, j, float(x[j]), rows, vals, viol):
@@ -260,7 +242,7 @@ def greedy_form_solve(
             return Solution(status=SolveStatus.ERROR, backend="greedy")
         j, delta = best_move
         x[j] += delta
-        rows, vals = _column(form.A_ub, j)
+        rows, vals = form.A_ub.col(j)
         act[rows] += vals * delta
 
     if m and np.any(act - form.b_ub > _GREEDY_TOL):

@@ -19,10 +19,10 @@ Warm starts and in-place re-solves are not supported by the SciPy interface;
 :class:`repro.optim.backend.SolverSession` still avoids the model re-lowering
 cost on this backend but each solve is cold.
 
-Constraint matrices arriving as :class:`repro.optim.sparse.SparseMatrix`
-(the default lowering) are handed to ``linprog`` / ``milp`` as
-``scipy.sparse`` CSC matrices directly -- HiGHS consumes them natively, so
-the >95%-sparse placement models are never densified on this path.
+The :class:`repro.optim.sparse.SparseMatrix` constraint matrices are handed
+to ``linprog`` / ``milp`` as ``scipy.sparse`` CSC matrices directly -- HiGHS
+consumes them natively, so the >95%-sparse placement models are never
+densified on this path.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from repro.optim.errors import SolverError
 from repro.optim.model import StandardForm
 from repro.optim.solution import Solution, SolveStatus
-from repro.optim.sparse import as_spec
 
 try:  # pragma: no cover - exercised implicitly by is_available()
     from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -92,9 +91,9 @@ def solve_lp(
         options["time_limit"] = float(time_limit)
     res = linprog(
         c=form.c,
-        A_ub=as_spec(form.A_ub) if form.A_ub.size else None,
+        A_ub=form.A_ub.to_scipy() if form.A_ub.size else None,
         b_ub=form.b_ub if form.b_ub.size else None,
-        A_eq=as_spec(form.A_eq) if form.A_eq.size else None,
+        A_eq=form.A_eq.to_scipy() if form.A_eq.size else None,
         b_eq=form.b_eq if form.b_eq.size else None,
         bounds=list(zip(form.lb if lb is None else lb, form.ub if ub is None else ub)),
         method="highs",
@@ -143,9 +142,9 @@ def solve_mip(
         raise SolverError("scipy is not available; use the 'branch-and-bound' backend instead")
     constraints = []
     if form.A_ub.size:
-        constraints.append(LinearConstraint(as_spec(form.A_ub), -np.inf, form.b_ub))
+        constraints.append(LinearConstraint(form.A_ub.to_scipy(), -np.inf, form.b_ub))
     if form.A_eq.size:
-        constraints.append(LinearConstraint(as_spec(form.A_eq), form.b_eq, form.b_eq))
+        constraints.append(LinearConstraint(form.A_eq.to_scipy(), form.b_eq, form.b_eq))
     options = {}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)

@@ -21,10 +21,7 @@ Instead of a dense tableau the solver keeps only the basis factorized:
 * a Forrest-Tomlin-style *sparse spike* file of the pivots applied since
   the last factorization: each update stores only the nonzero entries of
   the transformed entering column, so FTRAN/BTRAN pay O(nnz-of-spike) per
-  update instead of the O(m) dense product-form eta application (the
-  reference dense-eta implementation is kept behind the
-  ``REPRO_FORCE_DENSE_ETA`` env toggle for equivalence tests and as the
-  benchmark baseline),
+  update instead of the O(m) dense product-form eta application,
 * adaptive refactorization, triggered by either an update-count cap or an
   accumulated spike-nonzero budget, which also recomputes the basic values
   to wash out drift.
@@ -39,8 +36,8 @@ Pricing is selected by the ``pricing`` option (``"auto"`` | ``"dantzig"``
 (cyclic candidate scans over contiguous column blocks, priced with
 :meth:`repro.optim.sparse.SparseMatrix.rmatvec_range`), approximating
 steepest-edge at a fraction of the cost on Rocketfuel-size bases.
-``"auto"`` resolves to devex above :data:`_DEVEX_MIN_COLS` canonical
-columns (overridable via the ``REPRO_PRICING`` env for CI matrix legs).
+``"auto"`` resolves to devex at or above :data:`_DEVEX_MIN_COLS`
+canonical columns.
 Either way the solver switches to Bland's smallest-index rule after
 :data:`_STALL_LIMIT` consecutive degenerate pivots -- the anti-cycling
 escape stays the last rung regardless of pricing mode -- and a stall that
@@ -83,7 +80,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -95,7 +91,7 @@ from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline, record_rung
 from repro.optim.solution import Solution, SolveStatus
-from repro.optim.sparse import MatrixLike, SparseMatrix
+from repro.optim.sparse import SparseMatrix
 
 #: Numerical tolerance used throughout the simplex implementation.
 EPS = 1e-9
@@ -124,17 +120,15 @@ _STALL_ABORT = 2048
 #: unshifted path.
 _SHIFT_PROACTIVE_COLS = 600
 
-#: Dense-eta-file length that triggers a basis refactorization.  A dense
-#: eta costs O(m) per FTRAN / BTRAN, so short eta files beat long ones as
-#: soon as refactorization is cheap; 16 measured best on the pop10
-#: placement MILPs (3.5s vs 7.0s at 64 for the 80-traffic PPME tree).
+#: Small-basis floor of the spike-count cap: a basis with ``2 * m`` below
+#: this still carries this many updates before refactorizing (see
+#: :meth:`_BasisFactor.needs_refactor`).
 _REFACTOR_INTERVAL = 16
 
 #: Hard cap on Forrest-Tomlin spike updates between refactorizations.  A
 #: spike costs only O(nnz-of-spike), so large bases can profitably carry
-#: far more updates than the dense path; small bases stay on a 2m cap
-#: (refactorization is nearly free there), see
-#: :meth:`_BasisFactor.needs_refactor`.
+#: many updates; small bases stay on a 2m cap (refactorization is nearly
+#: free there), see :meth:`_BasisFactor.needs_refactor`.
 _FT_MAX_UPDATES = 48
 
 #: Spike-file nonzero budget: refactorize once the accumulated spike
@@ -159,16 +153,6 @@ _SPLU_MIN_DIM = 60
 #: showing up in pivot-loop profiles.
 _DEADLINE_STRIDE = 32
 
-#: Env toggle forcing the dense-inverse factor path even when SuperLU is
-#: importable -- CI runs the fault-injection suite under both factor paths.
-_FORCE_DENSE_LU = os.environ.get("REPRO_FORCE_DENSE_LU", "") not in ("", "0")
-
-#: Env toggle forcing the reference dense product-form eta file instead of
-#: Forrest-Tomlin sparse spikes -- the equivalence tests and the benchmark
-#: baseline flip this (tests patch the module attribute in-process, so it
-#: is read per factorization, not cached at import).
-_FORCE_DENSE_ETA = os.environ.get("REPRO_FORCE_DENSE_ETA", "") not in ("", "0")
-
 #: Valid values of the ``pricing`` solver option.
 PRICING_MODES = ("auto", "dantzig", "devex")
 
@@ -179,11 +163,6 @@ PRICING_MODES = ("auto", "dantzig", "devex")
 #: degenerate enough that Dantzig's fixed most-negative rule stalls where
 #: the devex reference framework prices out of the degenerate cone.
 _DEVEX_MIN_COLS = 600
-
-#: Env override of ``pricing="auto"`` resolution -- lets a CI matrix leg
-#: force devex across an entire test suite without touching call sites.
-#: Explicit ``pricing="dantzig"`` / ``"devex"`` arguments still win.
-_PRICING_ENV = os.environ.get("REPRO_PRICING", "")
 
 #: Column-block width of the partial-pricing candidate scans.
 _PARTIAL_BLOCK = 512
@@ -204,8 +183,6 @@ def _validate_pricing(pricing: str) -> str:
 
 def _resolve_pricing(pricing: str, n_cols: int) -> str:
     """Resolve ``"auto"`` to a concrete rule for an ``n_cols``-column LP."""
-    if pricing == "auto" and _PRICING_ENV in ("dantzig", "devex"):
-        return _PRICING_ENV
     if pricing == "auto":
         return "devex" if n_cols >= _DEVEX_MIN_COLS else "dantzig"
     return pricing
@@ -285,9 +262,9 @@ class _Basis:
     basic at value zero by a redundant row; ``art_sign`` records the unit
     column sign they were created with so the basis matrix can be rebuilt.
     ``factor`` carries the factorization that was current at optimality;
-    warm starts clone it (sharing the immutable LU base, copying the eta
+    warm starts clone it (sharing the immutable LU base, copying the update
     file) instead of refactorizing, so a branch-and-bound child pays zero
-    factorizations until its own eta file fills up.
+    factorizations until its own update file fills up.
     """
 
     basis: np.ndarray  # column index of each basic variable, length m
@@ -314,12 +291,6 @@ def _basis_compatible(basis: Optional[_Basis], lp: _CanonicalLP) -> bool:
     )
 
 
-def _as_sparse(matrix: MatrixLike) -> SparseMatrix:
-    if isinstance(matrix, SparseMatrix):
-        return matrix
-    return SparseMatrix.from_dense(np.asarray(matrix, dtype=float))
-
-
 def _canonicalize(
     form: StandardForm,
     lb: Optional[np.ndarray] = None,
@@ -344,8 +315,7 @@ def _canonicalize(
     minus_index = np.where(free, plus_index + 1, -1)
     n_exp = int(width.sum())
 
-    A_ub = _as_sparse(form.A_ub)
-    A_eq = _as_sparse(form.A_eq)
+    A_ub, A_eq = form.A_ub, form.A_eq
     m_ub, m_eq = A_ub.shape[0], A_eq.shape[0]
     m = m_ub + m_eq
     n_cols = n_exp + m_ub
@@ -445,17 +415,11 @@ class _BasisFactor:
     permutation bookkeeping is implicit -- the pivot row index plays the
     role of Forrest-Tomlin's row permutation, exactly as in the dense
     product form, so applying a spike is O(nnz-of-spike) instead of O(m)).
-    The reference dense-eta representation is kept behind
-    :data:`_FORCE_DENSE_ETA` (read once per factorization so a factor is
-    internally consistent even when tests flip the toggle between solves).
     """
 
     __slots__ = (
         "m",
         "stamp",
-        "_dense_etas",
-        "_etas_r",
-        "_etas_w",
         "_spikes",
         "_spike_nnz",
         "_splu",
@@ -469,9 +433,6 @@ class _BasisFactor:
         m, n_cols = lp.m, lp.n
         self.m = m
         self.stamp = lp.stamp
-        self._dense_etas = _FORCE_DENSE_ETA
-        self._etas_r: List[int] = []
-        self._etas_w: List[np.ndarray] = []
         # Spike tuples (pivot row, pivot value, nonzero rows, nonzero values);
         # the arrays are never written after creation, so clones may share
         # tuples and only copy the list spine.
@@ -517,7 +478,7 @@ class _BasisFactor:
             rows_B[slots] = art_rows
             vals_B[slots] = art_sign[art_rows]
 
-        if _HAVE_SPLU and m >= _SPLU_MIN_DIM and not _FORCE_DENSE_LU:
+        if _HAVE_SPLU and m >= _SPLU_MIN_DIM:
             matrix = _scipy_csc(
                 (vals_B, rows_B.astype(np.int32), indptr_B.astype(np.int32)), shape=(m, m)
             )
@@ -541,38 +502,33 @@ class _BasisFactor:
 
         Lets a warm start resume from the factorization stored in a
         :class:`_Basis` token without refactorizing and without corrupting
-        siblings that hold the same token.  Only the list *spines* are
-        copied: the eta vectors and spike tuples themselves are immutable
-        by construction (``update`` always appends freshly-allocated
-        arrays and never writes into a stored one), so a child appending
-        its own updates can never mutate a parent's.
+        siblings that hold the same token.  Only the list *spine* is
+        copied: the spike tuples themselves are immutable by construction
+        (``update`` always appends freshly-allocated arrays and never
+        writes into a stored one), so a child appending its own updates can
+        never mutate a parent's.
         """
-        dup = object.__new__(_BasisFactor)
+        dup = object.__new__(type(self))
         dup.m = self.m
         dup.stamp = self.stamp
         dup._splu = self._splu
         dup._inv = self._inv
         dup._base_nnz = self._base_nnz
-        dup._dense_etas = self._dense_etas
-        dup._etas_r = list(self._etas_r)
-        dup._etas_w = list(self._etas_w)
         dup._spikes = list(self._spikes)
         dup._spike_nnz = self._spike_nnz
         return dup
 
-    # -- update file (dense etas or Forrest-Tomlin spikes) ------------------
+    # -- update file (Forrest-Tomlin spikes) --------------------------------
     @property
     def n_etas(self) -> int:
         """Number of basis updates recorded since the last factorization."""
-        return len(self._etas_r) + len(self._spikes)
+        return len(self._spikes)
 
     def needs_refactor(self) -> bool:
         """True when the update file has outgrown its count/nnz budget."""
-        if self._dense_etas:
-            return len(self._etas_r) >= _REFACTOR_INTERVAL
         # Small bases refactorize almost for free, so cap their update
-        # count near the dense interval; large bases run up to
-        # _FT_MAX_UPDATES spikes or the nonzero budget, whichever first.
+        # count at 2m (floored at _REFACTOR_INTERVAL); large bases run up
+        # to _FT_MAX_UPDATES spikes or the nonzero budget, whichever first.
         cap = min(_FT_MAX_UPDATES, max(_REFACTOR_INTERVAL, 2 * self.m))
         return (
             len(self._spikes) >= cap
@@ -583,10 +539,6 @@ class _BasisFactor:
         """Record the pivot ``basis[row] <- column with B^-1 a_q == w``."""
         r = int(row)
         instr.add("eta_updates")
-        if self._dense_etas:
-            self._etas_r.append(r)
-            self._etas_w.append(w)
-            return
         piv = float(w[r])
         keep = np.abs(w) > _SPIKE_DROP_TOL
         keep[r] = False
@@ -613,12 +565,6 @@ class _BasisFactor:
     def ftran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B x = rhs`` (LU, then updates oldest-first)."""
         x = self._base_solve(rhs)
-        if self._dense_etas:
-            for r, w in zip(self._etas_r, self._etas_w):
-                xr = x[r] / w[r]
-                x -= w * xr
-                x[r] = xr
-            return x
         for r, piv, idx, vals in self._spikes:
             xr = x[r] / piv
             # Skip-on-zero: entering columns are sparse, so most spikes see
@@ -632,10 +578,6 @@ class _BasisFactor:
     def btran(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``B^T y = rhs`` (updates newest-first, then LU transpose)."""
         v = rhs.astype(float, copy=True)
-        if self._dense_etas:
-            for r, w in zip(reversed(self._etas_r), reversed(self._etas_w)):
-                v[r] = (v[r] - (w @ v - w[r] * v[r])) / w[r]
-            return self._base_solve_T(v)
         for r, piv, idx, vals in reversed(self._spikes):
             vr = v[r]
             if idx.size:

@@ -18,11 +18,11 @@ structural rebuild.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["SparseMatrix", "as_dense", "as_spec", "is_sparse"]
+__all__ = ["SparseMatrix"]
 
 
 class SparseMatrix:
@@ -272,31 +272,3 @@ class SparseMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
-
-MatrixLike = Union[np.ndarray, SparseMatrix]
-
-
-def is_sparse(matrix: MatrixLike) -> bool:
-    """True when ``matrix`` is the CSC :class:`SparseMatrix`."""
-    return isinstance(matrix, SparseMatrix)
-
-
-def as_dense(matrix: MatrixLike) -> np.ndarray:
-    """Dense numpy view of a dense-or-sparse matrix."""
-    if isinstance(matrix, SparseMatrix):
-        return matrix.to_dense()
-    return np.asarray(matrix, dtype=float)
-
-
-def matvec(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` for a dense-or-sparse matrix."""
-    if isinstance(matrix, SparseMatrix):
-        return matrix.matvec(x)
-    return matrix @ x
-
-
-def as_spec(matrix: MatrixLike) -> Any:
-    """Whatever SciPy's ``linprog`` / ``LinearConstraint`` accept directly."""
-    if isinstance(matrix, SparseMatrix):
-        return matrix.to_scipy()
-    return matrix

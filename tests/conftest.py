@@ -4,9 +4,29 @@ from __future__ import annotations
 
 import pytest
 
+from repro.optim import simplex
 from repro.topology import paper_pop
 from repro.traffic import TrafficMatrix, Traffic, generate_traffic_matrix
 from repro.traffic.demands import Route
+
+
+#: Numeric cores of the in-house simplex besides the default SuperLU factor
+#: (which every unpatched test runs on when SciPy is importable), as
+#: patches of its module state: the dense LAPACK inverse (the numpy-only
+#: platform's factor), alone and with ``pricing="auto"`` resolving to devex
+#: at every size.
+NUMERIC_CORES = {
+    "dense-lu": {"_HAVE_SPLU": False},
+    "dense-lu+devex": {"_HAVE_SPLU": False, "_DEVEX_MIN_COLS": 0},
+}
+
+
+@pytest.fixture(params=list(NUMERIC_CORES))
+def numeric_core(request, monkeypatch):
+    """Run the requesting test once per non-default numeric core."""
+    for name, value in NUMERIC_CORES[request.param].items():
+        monkeypatch.setattr(simplex, name, value)
+    return request.param
 
 
 @pytest.fixture(scope="session")

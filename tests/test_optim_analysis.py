@@ -21,11 +21,10 @@ from repro.optim import (
     SolverError,
     SolveStatus,
     analyze_form,
-    lin_sum,
 )
 from repro.optim import diagnostics as diag
 from repro.optim import instrumentation as instr
-from repro.optim.analysis import CHECK_MODES, ERROR, INFO, WARNING, enforce, has_errors
+from repro.optim.analysis import ERROR, INFO, WARNING, enforce, has_errors
 from repro.optim.model import StandardForm
 from repro.optim.sparse import SparseMatrix
 
@@ -41,15 +40,15 @@ def _form(
     lb=None,
     ub=None,
     integrality=None,
-    sparse=True,
     **kwargs,
 ):
     """Hand-build a StandardForm from lists; defaults give a well-formed LP."""
     c = np.asarray(c, dtype=kwargs.pop("c_dtype", float))
     n = c.shape[0] if c.ndim == 1 else 0
     def matrix(rows):
-        dense = np.asarray(rows if rows is not None else np.zeros((0, n)), dtype=float)
-        return SparseMatrix.from_dense(dense) if sparse else dense
+        return SparseMatrix.from_dense(
+            np.asarray(rows if rows is not None else np.zeros((0, n)), dtype=float)
+        )
     return StandardForm(
         c=c,
         A_ub=matrix(A_ub),
@@ -224,14 +223,6 @@ class TestPerRuleUnits:
         found = analyze_form(form)
         assert "scaling-global" in _rules(found, WARNING)
         assert "scaling-row" not in _rules(found)
-
-    def test_dense_lowering_analyzed_identically(self):
-        kwargs = dict(
-            A_ub=[[1.0, 1.0], [1.0, 1.0]], b_ub=[1.0, 5.0], ub=[9.0, 9.0]
-        )
-        sparse_rules = _rules(analyze_form(_form([1.0, np.nan], sparse=True, **kwargs)))
-        dense_rules = _rules(analyze_form(_form([1.0, np.nan], sparse=False, **kwargs)))
-        assert sparse_rules == dense_rules == ["duplicate-row", "nonfinite-objective"]
 
     def test_findings_sorted_most_severe_first(self):
         form = _form(

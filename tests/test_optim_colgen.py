@@ -5,8 +5,7 @@ must return the same status and (at tolerance) the same objective as the
 monolithic solve of the identical form -- on random LPs, random MILPs, the
 LP2 placement lowering, and under injected pricing faults.  Warm-basis
 survival across column appends and the option plumbing
-(``decomposition=``, ``REPRO_DECOMPOSITION``, hints) are covered
-alongside.
+(``decomposition=``, hints) are covered alongside.
 """
 
 from __future__ import annotations
@@ -65,12 +64,23 @@ class TestDecompositionOption:
         assert colgen.resolve_decomposition("auto", colgen._COLGEN_MIN_COLS) == "colgen"
         assert colgen.resolve_decomposition("auto", colgen._COLGEN_MIN_COLS - 1) == "off"
 
-    def test_env_override_steers_auto_only(self, monkeypatch):
-        monkeypatch.setattr(colgen, "_DECOMP_ENV", "colgen")
-        assert colgen.resolve_decomposition("auto", 2) == "colgen"
-        assert colgen.resolve_decomposition("off", 10**6) == "off"
-        monkeypatch.setattr(colgen, "_DECOMP_ENV", "off")
-        assert colgen.resolve_decomposition("auto", 10**6) == "off"
+    @pytest.mark.parametrize("rounds", ["x", -1])
+    def test_session_colgen_path_rejects_bad_max_cut_rounds(self, rounds):
+        """The session column-generation path never reaches the one-shot
+        dispatcher, so the option check must sit where every entry point
+        passes: at construction and on a per-solve override alike."""
+        m = Model("cut-rounds")
+        zs = [m.add_var(f"z{i}", vartype="binary") for i in range(4)]
+        m.add_constr(lin_sum(2 * z for z in zs) >= 3, "cover")  # fractional root
+        m.set_objective(lin_sum(zs))
+        with pytest.raises(SolverError, match="max_cut_rounds"):
+            m.session(
+                backend="branch-and-bound", decomposition="colgen", max_cut_rounds=rounds
+            ).solve()
+        session = m.session(backend="branch-and-bound", decomposition="colgen")
+        with pytest.raises(SolverError, match="max_cut_rounds"):
+            session.solve(max_cut_rounds=rounds)
+        assert session.solve().objective == pytest.approx(2.0)
 
     def test_backend_rejects_bad_decomposition(self):
         m = _lp_model()

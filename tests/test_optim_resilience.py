@@ -19,7 +19,6 @@ from repro.optim import (
     Degradation,
     FaultPlan,
     Model,
-    SolverSession,
     SolveStatus,
     lin_sum,
     solve_model,
@@ -194,10 +193,6 @@ class TestRecoveryLadder:
         the ladder to a clean factorization -- ending at the unfaulted
         optimum.
         """
-        from repro.optim import simplex
-
-        if simplex._FORCE_DENSE_ETA:
-            pytest.skip("dense-eta mode records no FT spikes to corrupt")
         with faultinject.inject(FaultPlan(corrupt_spikes=(1,))) as armed:
             sol = solve_standard_form(_lp_form())
         assert sol.status is SolveStatus.OPTIMAL
@@ -237,8 +232,8 @@ class TestRecoveryLadder:
 
     def test_large_basis_ladder_covers_both_factor_paths(self):
         # 70 rows is above ``_SPLU_MIN_DIM``: with SciPy present this drives
-        # the SuperLU factor path, and under ``REPRO_FORCE_DENSE_LU=1`` (or
-        # without SciPy) the dense-inverse path -- CI runs both.
+        # the SuperLU factor path, and under the ``numeric_core`` dense-LU
+        # legs (or without SciPy) the dense-inverse path.
         rng = np.random.default_rng(7)
         n = 70
         model = Model("large-cover")

@@ -7,10 +7,8 @@ so this tool enforces them directly over the syntax tree:
 SOLV001  no densification outside sanctioned sites
     ``*.to_dense()``, ``as_dense(...)`` and ``np.linalg.inv(...)`` silently
     turn the sparse CSC kernels into O(m*n) dense work.  They are allowed
-    only in :mod:`repro.optim.sparse` itself (which defines the conversions),
-    in the ``_BasisFactor`` dense fallback of :mod:`repro.optim.simplex`,
-    and in the legacy ``sparse=False`` lowering path of
-    ``Model.to_standard_form``.
+    only in :mod:`repro.optim.sparse` itself (which defines the conversions)
+    and in the ``_BasisFactor`` dense fallback of :mod:`repro.optim.simplex`.
 
 SOLV002  no bare or broad ``except`` without justification
     ``except:``, ``except Exception`` and ``except BaseException`` swallow
@@ -66,7 +64,6 @@ from typing import Iterator, List, Sequence, Tuple
 DENSIFY_ALLOWLIST: Tuple[Tuple[str, str], ...] = (
     ("repro/optim/sparse.py", ""),
     ("repro/optim/simplex.py", "_BasisFactor"),
-    ("repro/optim/model.py", "to_standard_form"),
 )
 
 #: Attribute names of StandardForm whose arrays must only be patched through
@@ -173,7 +170,7 @@ class _SolverLinter(ast.NodeVisitor):
                 node,
                 "SOLV001",
                 f"densification via {densifier} outside the sanctioned sites "
-                "(sparse.py, simplex._BasisFactor, Model.to_standard_form)",
+                "(sparse.py, simplex._BasisFactor)",
             )
         self._check_clock_read(node)
         self.generic_visit(node)
