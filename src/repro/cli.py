@@ -126,16 +126,11 @@ def _lint_models(preset: str, seed: int, coverage: float, formulation: str) -> L
 def _cmd_lint_model(args: argparse.Namespace) -> int:
     from repro.optim.analysis import analyze_form, has_errors
     from repro.optim.diagnostics import format_report
-    from repro.optim.presolve import reduction_report
 
     exit_code = 0
     for label, model in _lint_models(args.preset, args.seed, args.coverage, args.formulation):
         form = model.to_standard_form()
         diagnostics = analyze_form(form)
-        # Presolve findings ride the same reporter: how much smaller the
-        # model could be (redundant/duplicate rows, fixable columns) without
-        # changing its optimum -- and an error when presolve refutes it.
-        diagnostics.extend(reduction_report(form))
         shape = (
             f"{form.num_vars} vars, "
             f"{form.b_ub.size} ub rows, {form.b_eq.size} eq rows"

@@ -26,17 +26,19 @@ CPLEX plays in the original article:
   factorizations, canonicalizations, peak nonzeros, analyzer runs) the
   benchmarks persist alongside wall-times.
 * :mod:`repro.optim.analysis` -- a pre-solve static analyzer over lowered
-  :class:`~repro.optim.model.StandardForm` matrices (shape/NaN/bound/row
-  sanity, duplicate and trivially-infeasible rows, scaling warnings),
-  wired into every backend behind the ``check="off"|"warn"|"strict"``
-  solver option; ``"warn"`` findings route through
+  :class:`~repro.optim.model.StandardForm` matrices: shape/dtype/NaN/Inf
+  validation and scaling warnings, plus a presolve dry run that reports
+  infeasible, redundant and duplicate rows and fixable columns.  Wired
+  into every backend behind the ``check="off"|"warn"|"strict"`` solver
+  option; ``"warn"`` findings route through
   :mod:`repro.optim.diagnostics`, ``"strict"`` raises
   :class:`~repro.optim.errors.ModelAnalysisError`.
-* :mod:`repro.optim.presolve` -- the transform half of the analyzer: shrinks
-  a lowered form (fixed/empty columns, singleton/redundant/forcing/parallel
-  rows, integer coefficient tightening) into a
-  :class:`~repro.optim.presolve.ReducedForm` and maps solutions back through
-  a :class:`~repro.optim.presolve.Postsolve`.  Runs by default on every
+* :mod:`repro.optim.presolve` -- the one module that reasons about rows and
+  columns over the variable bounds: shrinks a lowered form (fixed/empty
+  columns, singleton/redundant/forcing/parallel rows, integer coefficient
+  tightening) into a :class:`~repro.optim.presolve.ReducedForm`, proves
+  infeasibility where it can, and maps solutions back through a
+  :class:`~repro.optim.presolve.Postsolve`.  Runs by default on every
   backend (``presolve="on"|"off"``).
 * :mod:`repro.optim.cuts` -- cover and Gomory mixed-integer cutting planes
   separated at the branch-and-bound root (cut-and-branch), plus node-level

@@ -86,9 +86,12 @@ keeps the active column set plus warm basis across re-solves.
 it reaches any backend: ``"off"`` (the default) skips it, ``"warn"`` reports
 findings through :mod:`repro.optim.diagnostics`, and ``"strict"`` raises
 :class:`~repro.optim.errors.ModelAnalysisError` on error-severity findings.
-On a :class:`SolverSession` the analysis re-runs against the *patched*
-matrices before every solve, which is exactly when programmatic updates can
-silently break a model.
+The analyzer validates the arrays and then dry-runs presolve (which never
+mutates the form), so ``"warn"`` and ``"strict"`` cost one extra presolve
+per solve, whatever the ``presolve`` option says; ``"off"`` runs neither.  On a
+:class:`SolverSession` the analysis re-runs against the *patched* matrices
+before every solve, which is exactly when programmatic updates can silently
+break a model.
 
 Warm starts and re-solves
 -------------------------
@@ -583,8 +586,11 @@ class SolverSession:
 
     def update_constraint_rhs(self, name: str, rhs: float) -> None:
         """Set the right-hand side of constraint ``name`` (model orientation)."""
+        value = float(rhs)
+        if not math.isfinite(value):
+            raise ModelError(f"constraint {name!r}: right-hand side must be finite, got {value}")
         _, b, row, sign = self._row(name)
-        b[row] = sign * float(rhs)
+        b[row] = sign * value
 
     def update_constraint_coeff(
         self, name: str, var: Union[Variable, str], coeff: float
@@ -596,13 +602,19 @@ class SolverSession:
         included -- is an in-place O(log nnz) update, while introducing a
         brand-new nonzero grows the pattern.
         """
+        value = float(coeff)
+        if not math.isfinite(value):
+            raise ModelError(f"constraint {name!r}: coefficient must be finite, got {value}")
         A, _, row, sign = self._row(name)
-        A.set(row, self._var_index(var), sign * float(coeff))
+        A.set(row, self._var_index(var), sign * value)
         self._coeffs_dirty = True
 
     def update_objective_coeff(self, var: Union[Variable, str], coeff: float) -> None:
         """Set the objective coefficient of ``var`` (model sense)."""
-        self.form.c[self._var_index(var)] = self._sign * float(coeff)
+        value = float(coeff)
+        if not math.isfinite(value):
+            raise ModelError(f"objective coefficient must be finite, got {value}")
+        self.form.c[self._var_index(var)] = self._sign * value
 
     def update_var_bounds(
         self,
@@ -610,8 +622,15 @@ class SolverSession:
         lb: Optional[float] = None,
         ub: Optional[float] = None,
     ) -> None:
-        """Tighten or relax the bounds of ``var`` for subsequent solves."""
+        """Tighten or relax the bounds of ``var`` for subsequent solves.
+
+        Infinite bounds are legal; a NaN bound raises :class:`ModelError`.
+        """
         index = self._var_index(var)
+        if (lb is not None and math.isnan(lb)) or (ub is not None and math.isnan(ub)):
+            raise ModelError(
+                f"variable {self.model.variables[index].name!r}: NaN bound (lb={lb}, ub={ub})"
+            )
         if lb is not None:
             self.form.lb[index] = float(lb)
         if ub is not None:

@@ -54,7 +54,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.optim._types import FloatArray, IntArray
-from repro.optim.analysis import coo_triplets
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
 from repro.optim.simplex import AT_UPPER, BASIC, _Basis, _CanonicalLP
@@ -98,9 +97,9 @@ class Cut:
     kind: str = ""
 
 
-def _rows_of(matrix: object, m: int) -> List[Tuple[IntArray, FloatArray]]:
+def _rows_of(matrix: SparseMatrix, m: int) -> List[Tuple[IntArray, FloatArray]]:
     """Per-row ``(cols, vals)`` views of a constraint block."""
-    rows, cols, vals = coo_triplets(matrix)
+    rows, cols, vals = matrix.indices, matrix.col_ids(), matrix.data
     nz = vals != 0.0
     rows, cols, vals = rows[nz], cols[nz], vals[nz]
     order = np.argsort(rows, kind="stable")
@@ -428,7 +427,7 @@ def append_cut_rows(form: StandardForm, cuts: List[Cut]) -> StandardForm:
         return form
     n = form.num_vars
     m_ub = int(form.b_ub.shape[0])
-    rows, cols, vals = coo_triplets(form.A_ub)
+    rows, cols, vals = form.A_ub.indices, form.A_ub.col_ids(), form.A_ub.data
     new_rows = [np.asarray(rows, dtype=np.int64)]
     new_cols = [np.asarray(cols, dtype=np.int64)]
     new_vals = [np.asarray(vals, dtype=float)]

@@ -5,44 +5,20 @@ records through this module instead of printing directly, so embedding
 applications can redirect the stream (into a logger, a metrics pipeline, a
 test capture) with :func:`set_handler`.  The default handler writes
 one line per finding to ``sys.stderr``, prefixed with the model label.
-
-The module also keeps a bounded in-process journal of recent reports
-(:func:`recent_reports`); the benchmark harness snapshots it next to the
-instrumentation counters so analyzer findings observed during a run are
-attributable afterwards.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.optim.analysis import Diagnostic
 
-__all__ = [
-    "format_diagnostic",
-    "format_report",
-    "recent_reports",
-    "report",
-    "reset",
-    "set_handler",
-]
+__all__ = ["format_report", "report", "set_handler"]
 
 #: Signature of a diagnostics handler: ``(label, diagnostics)``.
 Handler = Callable[[str, Sequence["Diagnostic"]], None]
-
-#: How many reports the in-process journal retains.
-_JOURNAL_LIMIT = 64
-
-_journal: Deque[Tuple[str, Tuple["Diagnostic", ...]]] = deque(maxlen=_JOURNAL_LIMIT)
-
-
-def format_diagnostic(diagnostic: "Diagnostic", label: str = "") -> str:
-    """One human-readable line for a single finding."""
-    prefix = f"{label}: " if label else ""
-    return f"{prefix}{diagnostic}"
 
 
 def format_report(diagnostics: Sequence["Diagnostic"], label: str = "model") -> str:
@@ -77,18 +53,7 @@ def set_handler(handler: "Handler | None") -> Handler:
 
 
 def report(diagnostics: Sequence["Diagnostic"], label: str = "model") -> None:
-    """Send ``diagnostics`` to the current handler and journal them."""
+    """Send ``diagnostics`` to the current handler."""
     if not diagnostics:
         return
-    _journal.append((label, tuple(diagnostics)))
     _handler(label, diagnostics)
-
-
-def recent_reports() -> List[Tuple[str, Tuple["Diagnostic", ...]]]:
-    """The journaled ``(label, diagnostics)`` reports, oldest first."""
-    return list(_journal)
-
-
-def reset() -> None:
-    """Clear the journal (the handler is left installed)."""
-    _journal.clear()

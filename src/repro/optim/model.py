@@ -62,6 +62,8 @@ class Variable:
     ) -> None:
         if vartype not in VARTYPES:
             raise ModelError(f"unknown variable type {vartype!r}")
+        if math.isnan(lb) or math.isnan(ub):
+            raise ModelError(f"variable {name!r}: NaN bound (lb={lb}, ub={ub})")
         if vartype == "binary":
             # Clamp instead of overriding so callers can fix a binary to 0 or 1
             # by passing lb=ub (used by the incremental placement variants).
@@ -492,6 +494,10 @@ class Model:
         carrying an explicit ``0.0`` coefficient are kept in the sparsity
         pattern, so later in-place session updates of those coefficients
         stay structural no-ops.
+
+        Raises :class:`ModelError` naming the constraint (or the objective)
+        that carries a NaN or infinite coefficient, right-hand side or
+        objective term.
         """
         n = self.num_vars
         c = np.zeros(n)
@@ -536,12 +542,25 @@ class Model:
                 ("dup", -1, 0.0) if constr.name in row_map else entry
             )
 
+        A_ub = SparseMatrix.from_coo(ub_r, ub_c, ub_v, (len(ub_rhs), n))
+        A_eq = SparseMatrix.from_coo(eq_r, eq_c, eq_v, (len(eq_rhs), n))
+        b_ub = np.array(ub_rhs, dtype=float)
+        b_eq = np.array(eq_rhs, dtype=float)
+        if not (
+            math.isfinite(offset)
+            and np.isfinite(c).all()
+            and np.isfinite(A_ub.data).all()
+            and np.isfinite(A_eq.data).all()
+            and np.isfinite(b_ub).all()
+            and np.isfinite(b_eq).all()
+        ):
+            self._reject_nonfinite()
         return StandardForm(
             c=c,
-            A_ub=SparseMatrix.from_coo(ub_r, ub_c, ub_v, (len(ub_rhs), n)),
-            b_ub=np.array(ub_rhs, dtype=float),
-            A_eq=SparseMatrix.from_coo(eq_r, eq_c, eq_v, (len(eq_rhs), n)),
-            b_eq=np.array(eq_rhs, dtype=float),
+            A_ub=A_ub,
+            b_ub=b_ub,
+            A_eq=A_eq,
+            b_eq=b_eq,
             lb=np.array([v.lb for v in self.variables], dtype=float),
             ub=np.array([v.ub for v in self.variables], dtype=float),
             integrality=np.array([1 if v.is_integer else 0 for v in self.variables]),
@@ -550,6 +569,25 @@ class Model:
             maximize=maximize,
             row_map=row_map,
         )
+
+    def _reject_nonfinite(self) -> None:
+        """Raise :class:`ModelError` at the first NaN or infinite model datum."""
+        objective = self.objective
+        for var, coeff in objective.terms.items():
+            if not math.isfinite(coeff):
+                raise ModelError(
+                    f"model {self.name!r}: objective coefficient of {var.name!r} is {coeff}"
+                )
+        if not math.isfinite(objective.constant):
+            raise ModelError(f"model {self.name!r}: objective constant is {objective.constant}")
+        for constr in self.constraints:
+            for var, coeff in constr.expr.terms.items():
+                if not math.isfinite(coeff):
+                    raise ModelError(
+                        f"constraint {constr.name!r}: coefficient of {var.name!r} is {coeff}"
+                    )
+            if not math.isfinite(constr.rhs):
+                raise ModelError(f"constraint {constr.name!r}: right-hand side is {constr.rhs}")
 
     # -- solving ------------------------------------------------------------
     def solve(self, backend: str = "auto", **options: Any) -> Solution:

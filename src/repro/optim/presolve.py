@@ -1,12 +1,13 @@
 """LP/MILP presolve: shrink a :class:`StandardForm` before any backend sees it.
 
-The detection half of every reduction below already exists in the static
-analyzer (:mod:`repro.optim.analysis`): row activity ranges over the variable
-box find redundant and infeasible rows, and parallel-row signatures find
-duplicate/dominated rows.  This module adds the *transform* half -- it builds
-a smaller :class:`ReducedForm` plus a :class:`Postsolve` object that maps
-solutions (values and reduced costs) back to the original variable space, so
-callers keep addressing original indices and names.
+This is the one module that reasons about rows and columns over the variable
+bounds: row activity ranges over the variable box find redundant, forcing and
+infeasible rows, and parallel-row signatures find duplicate/dominated rows.
+It builds a smaller :class:`ReducedForm` plus a :class:`Postsolve` object
+that maps solutions (values and reduced costs) back to the original variable
+space, so callers keep addressing original indices and names.  The static
+analyzer (:mod:`repro.optim.analysis`) dry-runs :func:`presolve` to report
+infeasible, redundant and duplicate rows instead of detecting them itself.
 
 Reductions applied, to a fixpoint (bounded by ``max_rounds``):
 
@@ -55,21 +56,13 @@ import numpy as np
 
 from repro.optim import instrumentation as instr
 from repro.optim._types import BoolArray, FloatArray, IntArray
-from repro.optim.analysis import (
-    ERROR,
-    INFO,
-    Diagnostic,
-    coo_triplets,
-    row_activity_range,
-    row_signatures,
-)
 from repro.optim.errors import InternalSolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
 from repro.optim.solution import Solution
 from repro.optim.sparse import SparseMatrix
 
-__all__ = ["Postsolve", "ReducedForm", "presolve", "reduction_report"]
+__all__ = ["Postsolve", "ReducedForm", "presolve"]
 
 #: Feasibility tolerance used when a reduction could refute the model.
 _FEAS_TOL = 1e-9
@@ -162,17 +155,11 @@ class _Block:
 
     __slots__ = ("rows", "cols", "vals", "rhs", "alive", "is_eq")
 
-    def __init__(
-        self,
-        rows: IntArray,
-        cols: IntArray,
-        vals: FloatArray,
-        rhs: FloatArray,
-        is_eq: bool,
-    ) -> None:
+    def __init__(self, matrix: SparseMatrix, rhs: FloatArray, is_eq: bool) -> None:
+        vals = matrix.data
         live = (vals != 0.0) & np.isfinite(vals)
-        self.rows = rows[live].astype(np.int64, copy=True)
-        self.cols = cols[live].astype(np.int64, copy=True)
+        self.rows = matrix.indices[live].astype(np.int64, copy=True)
+        self.cols = matrix.col_ids()[live].astype(np.int64, copy=True)
         self.vals = vals[live].astype(float, copy=True)
         self.rhs = rhs.astype(float, copy=True)
         self.alive: BoolArray = np.ones(rhs.shape[0], dtype=bool)
@@ -203,6 +190,66 @@ class _Block:
         self.vals = self.vals[keep]
 
 
+def _row_activity_range(
+    rows: IntArray,
+    vals: FloatArray,
+    cols: IntArray,
+    lb: FloatArray,
+    ub: FloatArray,
+    m: int,
+) -> Tuple[FloatArray, FloatArray]:
+    """Per-row min/max of ``a @ x`` over the box ``lb <= x <= ub``.
+
+    Stored zeros contribute nothing (masked out so ``0 * inf`` cannot
+    poison a row with NaN); non-finite coefficients are the caller's problem
+    (flagged separately by ``nonfinite-matrix``) and are masked too.
+    """
+    live = (vals != 0.0) & np.isfinite(vals)
+    rows, vals, cols = rows[live], vals[live], cols[live]
+    with np.errstate(invalid="ignore"):
+        lo_c = np.where(vals > 0, vals * lb[cols], vals * ub[cols])
+        hi_c = np.where(vals > 0, vals * ub[cols], vals * lb[cols])
+    # 0 * inf from a zero-width infinite bound cannot happen (vals != 0), but
+    # crossed NaN bounds can still leak NaN; treat those rows as unbounded so
+    # this pass stays quiet and the nan-bound rule reports the root cause.
+    lo_c = np.nan_to_num(lo_c, nan=-np.inf, posinf=np.inf, neginf=-np.inf)
+    hi_c = np.nan_to_num(hi_c, nan=np.inf, posinf=np.inf, neginf=-np.inf)
+    lo = np.full(m, 0.0)
+    hi = np.full(m, 0.0)
+    if rows.size:
+        finite_lo = np.where(np.isfinite(lo_c), lo_c, 0.0)
+        finite_hi = np.where(np.isfinite(hi_c), hi_c, 0.0)
+        lo = np.bincount(rows, weights=finite_lo, minlength=m)
+        hi = np.bincount(rows, weights=finite_hi, minlength=m)
+        lo[np.bincount(rows, weights=np.isneginf(lo_c).astype(float), minlength=m) > 0] = -np.inf
+        hi[np.bincount(rows, weights=np.isposinf(hi_c).astype(float), minlength=m) > 0] = np.inf
+    return lo, hi
+
+
+def _row_signatures(
+    rows: IntArray, cols: IntArray, vals: FloatArray
+) -> Dict[Tuple[Tuple[int, float], ...], List[Tuple[int, float]]]:
+    """Group rows by their direction (pattern + coefficients scaled to the
+    leading entry); the value records ``(row, leading coefficient)``."""
+    live = (vals != 0.0) & np.isfinite(vals)
+    rows, cols, vals = rows[live], cols[live], vals[live]
+    groups: Dict[Tuple[Tuple[int, float], ...], List[Tuple[int, float]]] = {}
+    if not rows.size:
+        return groups
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    boundaries = np.flatnonzero(np.diff(rows)) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [rows.size]))
+    for s, e in zip(starts, ends):
+        lead = float(vals[s])
+        key = tuple(
+            (int(cols[k]), round(float(vals[k]) / lead, 12)) for k in range(s, e)
+        )
+        groups.setdefault(key, []).append((int(rows[s]), lead))
+    return groups
+
+
 class _Infeasible(Exception):
     """Presolve refuted the model; carries the human-readable reason."""
 
@@ -231,8 +278,8 @@ def presolve(
     ub = np.array(form.ub, dtype=float)
     integ = (np.asarray(form.integrality) != 0) if n else np.zeros(0, dtype=bool)
 
-    ub_block = _Block(*coo_triplets(form.A_ub), rhs=form.b_ub, is_eq=False)
-    eq_block = _Block(*coo_triplets(form.A_eq), rhs=form.b_eq, is_eq=True)
+    ub_block = _Block(form.A_ub, form.b_ub, is_eq=False)
+    eq_block = _Block(form.A_eq, form.b_eq, is_eq=True)
     blocks = (ub_block, eq_block)
 
     fixed = np.zeros(n, dtype=bool)
@@ -345,7 +392,7 @@ def presolve(
     def activity_pass(block: _Block) -> bool:
         """Redundant-row removal, infeasibility proofs and forcing rows."""
         rows, cols, vals, _ = block.live_entries()
-        lo, hi = row_activity_range(rows, vals, cols, lb, ub, block.m)
+        lo, hi = _row_activity_range(rows, vals, cols, lb, ub, block.m)
         changed = False
         forcing: List[Tuple[int, bool]] = []  # (row, pin_to_minimum)
         for i in np.flatnonzero(block.alive):
@@ -426,7 +473,7 @@ def presolve(
         if rows.size < 2:
             return False
         changed = False
-        for members in row_signatures(rows, cols, vals).values():
+        for members in _row_signatures(rows, cols, vals).values():
             if len(members) < 2:
                 continue
             if block.is_eq:
@@ -463,7 +510,7 @@ def presolve(
         rows, cols, vals, pos = block.live_entries()
         if not rows.size:
             return False
-        lo, hi = row_activity_range(rows, vals, cols, lb, ub, block.m)
+        lo, hi = _row_activity_range(rows, vals, cols, lb, ub, block.m)
         binary = integ & ~fixed & (lb == 0.0) & (ub == 1.0)
         candidate_rows = np.flatnonzero(
             block.alive & np.isfinite(hi) & (hi > block.rhs + _TIGHTEN_TOL)
@@ -610,48 +657,3 @@ def _name(form: StandardForm, j: int) -> str:
     if 0 <= j < len(form.names):
         return f"{form.names[j]!r} (col {j})"
     return f"column {j}"
-
-
-def reduction_report(form: StandardForm) -> List[Diagnostic]:
-    """Describe the reductions :func:`presolve` would apply, as diagnostics.
-
-    Used by ``repro lint-model``: the findings ride the same
-    :mod:`repro.optim.diagnostics` reporter as the static analyzer's.  The
-    input form is not modified.
-    """
-    reduced, _ = presolve(form)
-    out: List[Diagnostic] = []
-    if reduced.proven_infeasible:
-        out.append(
-            Diagnostic(
-                ERROR,
-                "presolve-infeasible",
-                f"presolve refutes the model: {reduced.infeasible_reason}",
-            )
-        )
-    m_total = int(form.b_ub.shape[0] + form.b_eq.shape[0])
-    if reduced.rows_removed:
-        out.append(
-            Diagnostic(
-                INFO,
-                "presolve-rows",
-                f"presolve removes {reduced.rows_removed} of {m_total} constraint rows",
-            )
-        )
-    if reduced.cols_fixed:
-        out.append(
-            Diagnostic(
-                INFO,
-                "presolve-cols",
-                f"presolve fixes {reduced.cols_fixed} of {form.num_vars} variables",
-            )
-        )
-    if reduced.coeffs_tightened:
-        out.append(
-            Diagnostic(
-                INFO,
-                "presolve-coeffs",
-                f"presolve tightens {reduced.coeffs_tightened} matrix coefficients",
-            )
-        )
-    return out

@@ -13,7 +13,7 @@ This module is the resilience substrate for the solver stack:
   bumps the matching :mod:`repro.optim.instrumentation` counter and emits a
   structured :class:`repro.optim.analysis.Diagnostic` through the
   :mod:`repro.optim.diagnostics` reporter, so degraded solves are loud in
-  counters and journals instead of silently falling through.
+  counters and reports instead of silently falling through.
 * :func:`greedy_form_solve` -- the last rung of the ``fallback="auto"``
   backend-failover chain: a deterministic repair heuristic over a lowered
   :class:`repro.optim.model.StandardForm` that starts every variable at its

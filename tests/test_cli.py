@@ -91,6 +91,13 @@ class TestCommands:
         assert "ppm-lp2" in out
         assert "beacon-ilp" in out
         assert "model analysis" in out
+        # Each reduction is stated once: the LP2's one redundant row shows up
+        # as a single presolve-rows finding, not also as row-redundant.
+        lp2_report = out.split("-- ppm-lp2", 1)[1].split("-- beacon-ilp", 1)[0]
+        findings = [line.strip() for line in lp2_report.splitlines() if line.startswith("  ")]
+        assert len(findings) == 1, findings
+        assert findings[0].startswith("info: presolve-rows:")
+        assert "row-redundant" not in out
 
     def test_lint_model_passive_only(self, capsys):
         assert main(["lint-model", "--formulation", "passive"]) == 0

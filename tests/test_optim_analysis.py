@@ -1,6 +1,7 @@
 """Tests for the pre-solve static analyzer (:mod:`repro.optim.analysis`).
 
-Per-rule units on hand-built broken forms, the ``check=`` solver option
+Per-rule units on hand-built broken forms (validation rules and the
+presolve dry run's ``presolve-*`` findings), the ``check=`` solver option
 wiring (off / warn / strict) across backends and sessions, the diagnostics
 reporter, and a property test running the analyzer in strict mode over the
 differential-fuzz model corpus: feasible instances must produce zero
@@ -114,47 +115,63 @@ class TestPerRuleUnits:
 
     def test_bounds_cross(self):
         form = _form([1.0, 1.0], lb=[0.0, 2.0], ub=[1.0, 1.0])
-        found = [d for d in analyze_form(form) if d.rule == "bounds-cross"]
-        assert len(found) == 1 and found[0].col == 1
+        found = [d for d in analyze_form(form) if d.rule == "presolve-infeasible"]
+        assert len(found) == 1 and "column 1" in found[0].message
 
     def test_row_infeasible_over_bounds(self):
         # x1 + x2 >= 3 over [0,1]^2, lowered as -x1 - x2 <= -3.
         form = _form([0.0, 0.0], A_ub=[[-1.0, -1.0]], b_ub=[-3.0], ub=[1.0, 1.0])
-        found = [d for d in analyze_form(form) if d.rule == "row-infeasible"]
+        found = [d for d in analyze_form(form) if d.rule == "presolve-infeasible"]
         assert len(found) == 1 and found[0].severity == ERROR
+
+    def test_row_infeasible_after_a_bound_row(self):
+        # x >= 1 turns into a bound, and then x + y <= 0.5 over [0, 1]^2 has
+        # minimum activity 1: infeasible, though neither row is over the
+        # original bounds.
+        m = Model("chained", sense="min")
+        x = m.add_var("x", ub=1.0)
+        y = m.add_var("y", ub=1.0)
+        m.add_constr(x >= 1.0, name="floor")
+        m.add_constr(x + y <= 0.5, name="cap")
+        m.set_objective(x + y)
+        with pytest.raises(ModelAnalysisError, match="presolve-infeasible"):
+            m.solve(check="strict")
 
     def test_eq_row_unreachable_rhs(self):
         form = _form([0.0], A_eq=[[1.0]], b_eq=[5.0], ub=[1.0])
-        assert "row-infeasible" in _rules(analyze_form(form), ERROR)
+        assert "presolve-infeasible" in _rules(analyze_form(form), ERROR)
 
     def test_empty_row_contradictory_rhs(self):
         form = _form([1.0], A_eq=[[0.0]], b_eq=[2.0])
-        found = [d for d in analyze_form(form) if d.rule == "row-infeasible"]
+        found = [d for d in analyze_form(form) if d.rule == "presolve-infeasible"]
         assert len(found) == 1 and "empty" in found[0].message
 
-    def test_empty_row_satisfied_is_warning(self):
+    def test_empty_row_satisfied_is_removed(self):
         form = _form([1.0], A_ub=[[0.0]], b_ub=[1.0])
-        found = [d for d in analyze_form(form) if d.rule == "empty-row"]
-        assert len(found) == 1 and found[0].severity == WARNING
+        found = [d for d in analyze_form(form) if d.rule == "presolve-rows"]
+        assert len(found) == 1 and found[0].severity == INFO
 
     def test_row_redundant_info(self):
         # x <= 9 while ub already caps x at 1.
-        form = _form([1.0], A_ub=[[1.0]], b_ub=[9.0], ub=[1.0])
-        found = [d for d in analyze_form(form) if d.rule == "row-redundant"]
+        form = _form(
+            [1.0], A_ub=[[1.0]], b_ub=[9.0], ub=[1.0], row_map={"loose": ("ub", 0, 1.0)}
+        )
+        found = [d for d in analyze_form(form) if d.rule == "presolve-rows"]
         assert len(found) == 1 and found[0].severity == INFO
+        assert "'loose'" in found[0].message
 
     def test_integrality_fractional_fixed(self):
         form = _form([1.0], lb=[0.5], ub=[0.5], integrality=[1.0])
-        found = [d for d in analyze_form(form) if d.rule == "integrality-empty"]
-        assert len(found) == 1 and "fractional" in found[0].message
+        found = [d for d in analyze_form(form) if d.rule == "presolve-infeasible"]
+        assert len(found) == 1 and "column 0" in found[0].message
 
     def test_integrality_window_without_integer(self):
         form = _form([1.0], lb=[0.2], ub=[0.8], integrality=[1.0])
-        assert "integrality-empty" in _rules(analyze_form(form), ERROR)
+        assert "presolve-infeasible" in _rules(analyze_form(form), ERROR)
 
     def test_integrality_window_ok(self):
         form = _form([1.0], lb=[0.2], ub=[1.2], integrality=[1.0])
-        assert "integrality-empty" not in _rules(analyze_form(form))
+        assert not has_errors(analyze_form(form))
 
     def test_duplicate_ub_rows(self):
         form = _form(
@@ -162,14 +179,24 @@ class TestPerRuleUnits:
             A_ub=[[1.0, 2.0], [2.0, 4.0]],
             b_ub=[1.0, 5.0],
             ub=[1.0, 1.0],
+            row_map={"tight": ("ub", 0, 1.0), "loose": ("ub", 1, 1.0)},
         )
-        found = [d for d in analyze_form(form) if d.rule == "duplicate-row"]
-        assert len(found) == 1 and found[0].row == 1
+        found = [d for d in analyze_form(form) if d.rule == "presolve-rows"]
+        assert len(found) == 1
+        assert found[0].message.endswith("removes 1 of 2 constraint rows: 'loose'")
 
-    def test_opposite_direction_ub_rows_are_not_duplicates(self):
-        # x <= 3 and -x <= -1 bracket a range; not redundant.
-        form = _form([1.0], A_ub=[[1.0], [-1.0]], b_ub=[3.0, -1.0], ub=[5.0])
-        assert "duplicate-row" not in _rules(analyze_form(form))
+    def test_removed_rows_listed_up_to_five(self):
+        # Seven copies of x <= 9 while ub caps x at 1: all redundant.
+        form = _form(
+            [1.0],
+            A_ub=[[1.0]] * 7,
+            b_ub=[9.0] * 7,
+            ub=[1.0],
+            row_map={f"r{i}": ("ub", i, 1.0) for i in range(7)},
+        )
+        (found,) = [d for d in analyze_form(form) if d.rule == "presolve-rows"]
+        assert "'r0', 'r1', 'r2', 'r3', 'r4', ... 2 more" in found.message
+        assert "'r5'" not in found.message
 
     def test_parallel_inconsistent_eq_rows(self):
         # x + y == 1 and 2x + 2y == 4 cannot both hold.
@@ -179,10 +206,10 @@ class TestPerRuleUnits:
             b_eq=[1.0, 4.0],
             ub=[9.0, 9.0],
         )
-        found = [d for d in analyze_form(form) if d.rule == "parallel-inconsistent"]
-        assert len(found) == 1 and found[0].severity == ERROR
+        found = [d for d in analyze_form(form) if d.rule == "presolve-infeasible"]
+        assert len(found) == 1 and "parallel" in found[0].message
 
-    def test_parallel_consistent_eq_rows_warn_only(self):
+    def test_parallel_consistent_eq_rows_info_only(self):
         form = _form(
             [1.0, 1.0],
             A_eq=[[1.0, 1.0], [2.0, 2.0]],
@@ -190,19 +217,13 @@ class TestPerRuleUnits:
             ub=[9.0, 9.0],
         )
         found = analyze_form(form)
-        assert "duplicate-row" in _rules(found, WARNING)
+        assert "presolve-rows" in _rules(found, INFO)
         assert not has_errors(found)
 
     def test_dangling_column_info(self):
         form = _form([0.0, 1.0], A_ub=[[1.0, 0.0]], b_ub=[1.0], ub=[2.0, 2.0])
-        found = [d for d in analyze_form(form) if d.rule == "dangling-column"]
-        assert len(found) == 1 and found[0].severity == INFO and found[0].col == 1
-
-    def test_dangling_column_unbounded_escalates(self):
-        # Minimizing -x with x unconstrained above and in no row: unbounded.
-        form = _form([-1.0], ub=[np.inf])
-        found = [d for d in analyze_form(form) if d.rule == "dangling-column"]
-        assert len(found) == 1 and found[0].severity == WARNING
+        found = [d for d in analyze_form(form) if d.rule == "presolve-cols"]
+        assert len(found) == 1 and found[0].severity == INFO
 
     def test_scaling_row(self):
         form = _form(
@@ -225,13 +246,16 @@ class TestPerRuleUnits:
         assert "scaling-row" not in _rules(found)
 
     def test_findings_sorted_most_severe_first(self):
+        # A badly scaled row (warning) plus x0 >= 3 over x0 in [0, 1]: presolve
+        # removes that row as a bound (info), then refutes the bounds (error).
         form = _form(
-            [np.nan, 0.0],
-            A_ub=[[0.0, 0.0], [1.0, 0.0]],
-            b_ub=[1.0, 99.0],
+            [1.0, 1.0],
+            A_ub=[[1e-6, 1e6], [-1.0, 0.0]],
+            b_ub=[1.0, -3.0],
             ub=[1.0, 1.0],
         )
         severities = [d.severity for d in analyze_form(form)]
+        assert set(severities) == {ERROR, WARNING, INFO}
         rank = {ERROR: 0, WARNING: 1, INFO: 2}
         assert severities == sorted(severities, key=rank.__getitem__)
 
@@ -245,10 +269,10 @@ class TestPerRuleUnits:
 
 class TestEnforceAndWiring:
     def setup_method(self):
-        diag.reset()
+        self._previous_handler = diag.set_handler(None)
 
     def teardown_method(self):
-        diag.reset()
+        diag.set_handler(self._previous_handler)
 
     def _broken_model(self):
         m = Model("broken", sense="min")
@@ -272,7 +296,7 @@ class TestEnforceAndWiring:
         assert [d.rule for d in captured[0][1]] == [d.rule for d in found]
 
     def test_enforce_strict_raises_with_diagnostics(self):
-        with pytest.raises(ModelAnalysisError, match="row-infeasible") as err:
+        with pytest.raises(ModelAnalysisError, match="presolve-infeasible") as err:
             enforce(self._broken_model().to_standard_form(), "strict", label="lbl")
         assert all(isinstance(d, Diagnostic) for d in err.value.diagnostics)
         assert all(d.severity == ERROR for d in err.value.diagnostics)
@@ -281,7 +305,7 @@ class TestEnforceAndWiring:
         m = Model("dup", sense="min")
         x = m.add_var("x", lb=0.0, ub=1.0)
         m.add_constr(x <= 0.75, name="a")
-        m.add_constr(x <= 0.9, name="b")  # parallel, redundant: warning only
+        m.add_constr(x <= 0.9, name="b")  # parallel, redundant: info only
         m.set_objective(-1.0 * x)
         found = enforce(m.to_standard_form(), "strict")
         assert found and not has_errors(found)
@@ -329,7 +353,7 @@ class TestEnforceAndWiring:
         # Patch the rhs so the row is trivially violated over the bounds:
         # x <= -2 with x in [0, 1].
         session.update_constraint_rhs("cap", -2.0)
-        with pytest.raises(ModelAnalysisError, match="row-infeasible"):
+        with pytest.raises(ModelAnalysisError, match="presolve-infeasible"):
             session.solve()
         # Per-call override relaxes the session default.
         assert session.solve(check="off").status is SolveStatus.INFEASIBLE
@@ -340,24 +364,18 @@ class TestEnforceAndWiring:
         m.add_constr(x <= 0.5, name="cap")
         m.set_objective(x)
         session = m.session(backend="simplex")
-        assert session.analyze(mode="warn") == []
+        assert not has_errors(session.analyze(mode="warn"))
         session.update_var_bounds(x, lb=0.75)  # cap is now infeasible
         found = session.analyze(mode="warn")
-        assert "row-infeasible" in _rules(found, ERROR)
+        assert "presolve-infeasible" in _rules(found, ERROR)
         with pytest.raises(SolverError, match="check option"):
             session.analyze(mode="bogus")
 
 
 class TestDiagnosticsReporter:
-    def setup_method(self):
-        diag.reset()
-
-    def teardown_method(self):
-        diag.reset()
-
     def test_format_report_tallies(self):
         found = analyze_form(
-            _form([np.nan, 1.0], A_ub=[[0.0, 0.0]], b_ub=[1.0], ub=[1.0, 1.0])
+            _form([np.nan, 1.0], A_ub=[[1e-4, 1e5]], b_ub=[1.0], ub=[1.0, 1.0])
         )
         text = diag.format_report(found, label="m")
         assert "1 error" in text and "1 warning" in text
@@ -366,16 +384,19 @@ class TestDiagnosticsReporter:
     def test_format_report_clean(self):
         assert "clean" in diag.format_report([], label="m")
 
-    def test_set_handler_returns_previous_and_journal(self):
+    def test_set_handler_returns_previous(self):
         seen = []
-        previous = diag.set_handler(lambda label, found: seen.append(label))
+
+        def handler(label, found):
+            seen.append(label)
+
+        previous = diag.set_handler(handler)
         try:
-            diag.report([Diagnostic(WARNING, "empty-row", "msg")], label="j")
+            diag.report([Diagnostic(WARNING, "scaling-row", "msg")], label="j")
         finally:
-            diag.set_handler(previous)
+            restored = diag.set_handler(previous)
+        assert restored is handler
         assert seen == ["j"]
-        labels = [label for label, _ in diag.recent_reports()]
-        assert labels == ["j"]
 
 
 class TestFuzzCorpusProperty:
@@ -392,8 +413,6 @@ class TestFuzzCorpusProperty:
             "nonfinite-matrix",
             "nonfinite-rhs",
             "nan-bound",
-            "bounds-cross",
-            "integrality-empty",
         }
         flagged_infeasible = 0
         for k in range(self.N_INSTANCES):
@@ -402,10 +421,11 @@ class TestFuzzCorpusProperty:
             found = analyze_form(form)
             structural = [d for d in found if d.rule in never_expected]
             assert not structural, (k, [str(d) for d in structural])
-            sol = model.solve(check="off")
+            # Presolve off: the oracle must not be the code under test.
+            sol = model.solve(check="off", presolve="off")
             if has_errors(found):
-                # The only error rules reachable here assert infeasibility
-                # over the variable bounds; the solver must agree.
+                # The only error rule reachable here is the presolve dry
+                # run's refutation; the solver must agree.
                 assert sol.status is SolveStatus.INFEASIBLE, (
                     k,
                     sol.status,
@@ -421,12 +441,13 @@ class TestFuzzCorpusProperty:
         assert flagged_infeasible >= 1
 
     @pytest.mark.parametrize(
-        "corrupt, expected_rule",
+        "corrupt, expected_rule, needs_rows",
         [
-            (lambda f: f.c.__setitem__(0, np.nan), "nonfinite-objective"),
+            (lambda f: f.c.__setitem__(0, np.nan), "nonfinite-objective", False),
             (
                 lambda f: (f.lb.__setitem__(0, 2.0), f.ub.__setitem__(0, 1.0)),
-                "bounds-cross",
+                "presolve-infeasible",
+                False,
             ),
             (
                 # Box every variable so the row activity range is finite,
@@ -436,18 +457,19 @@ class TestFuzzCorpusProperty:
                     f.ub.__setitem__(slice(None), 1.0),
                     f.b_ub.__setitem__(slice(None), -1e18),
                 ),
-                "row-infeasible",
+                "presolve-infeasible",
+                True,
             ),
-            (lambda f: f.lb.__setitem__(0, np.nan), "nan-bound"),
+            (lambda f: f.lb.__setitem__(0, np.nan), "nan-bound", False),
         ],
     )
-    def test_seeded_corruptions_are_caught(self, corrupt, expected_rule):
+    def test_seeded_corruptions_are_caught(self, corrupt, expected_rule, needs_rows):
         rng = np.random.default_rng(99)
         caught = 0
         for _ in range(40):
             model = _random_model(rng, mip=False)
             form = model.to_standard_form()
-            if expected_rule == "row-infeasible" and form.b_ub.size == 0:
+            if needs_rows and form.b_ub.size == 0:
                 continue
             corrupt(form)
             found = analyze_form(form)
@@ -465,7 +487,7 @@ class TestFuzzCorpusProperty:
         form.lb[j] = 0.25
         form.ub[j] = 0.75
         found = analyze_form(form)
-        assert "integrality-empty" in _rules(found, ERROR)
+        assert "presolve-infeasible" in _rules(found, ERROR)
 
     def test_corrupted_shapes_caught(self):
         rng = np.random.default_rng(11)

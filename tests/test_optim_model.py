@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.optim import Constraint, LinExpr, Model, Variable, lin_sum
+from repro.optim import Constraint, Model, lin_sum, scipy_backend
 from repro.optim.errors import ModelError
 
 
@@ -209,3 +209,89 @@ class TestModel:
         assert not m.check_feasible({"x": 3.0, "b": 0.0})  # bound violated
         assert not m.check_feasible({"x": 1.0, "b": 0.5})  # integrality violated
         assert not m.check_feasible({"x": 0.0, "b": 0.0})  # constraint violated
+
+
+_BACKENDS = [
+    "simplex",
+    "branch-and-bound",
+    pytest.param(
+        "scipy",
+        marks=pytest.mark.skipif(
+            not scipy_backend.is_available(), reason="SciPy not installed"
+        ),
+    ),
+]
+
+
+def _unit_box_max():
+    """max x + y over x, y in [0, 1]; the caller adds the rows."""
+    m = Model("box", sense="max")
+    x = m.add_var("x", ub=1.0)
+    y = m.add_var("y", ub=1.0)
+    m.set_objective(x + y)
+    return m, x, y
+
+
+class TestNonFiniteData:
+    """NaN and infinite data are rejected where they enter the model.
+
+    ±inf variable bounds stay legal; every other non-finite datum would be
+    silently dropped or misread by some layer below the model.
+    """
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("coeff", [math.inf, math.nan])
+    def test_nonfinite_coefficient(self, backend, coeff):
+        m, x, y = _unit_box_max()
+        m.add_constr(coeff * x + y <= 1.0, name="row")
+        with pytest.raises(ModelError, match="constraint 'row'"):
+            m.solve(backend=backend, presolve="on")
+
+    def test_nonfinite_coefficient_in_session(self):
+        m, x, y = _unit_box_max()
+        m.add_constr(math.inf * x + y <= 1.0, name="row")
+        with pytest.raises(ModelError, match="constraint 'row'"):
+            m.session(backend="simplex")
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    def test_nan_rhs(self, backend):
+        m, x, y = _unit_box_max()
+        m.add_constr(x + y <= math.nan, name="row")
+        with pytest.raises(ModelError, match="right-hand side"):
+            m.solve(backend=backend)
+
+    def test_nonfinite_objective_term(self):
+        m, x, y = _unit_box_max()
+        m.set_objective(x - math.inf * y)
+        with pytest.raises(ModelError, match="objective"):
+            m.to_standard_form()
+
+    @pytest.mark.parametrize("vartype", ["continuous", "binary"])
+    def test_nan_bound(self, vartype):
+        m = Model()
+        with pytest.raises(ModelError, match="NaN"):
+            m.add_var("x", ub=math.nan, vartype=vartype)
+        with pytest.raises(ModelError, match="NaN"):
+            m.add_var("y", lb=math.nan, vartype=vartype)
+
+    def test_infinite_bounds_stay_legal(self):
+        m = Model()
+        x = m.add_var("x", lb=-math.inf, ub=math.inf)
+        assert (x.lb, x.ub) == (-math.inf, math.inf)
+
+    def test_session_patches_reject_nonfinite_values(self):
+        m, x, y = _unit_box_max()
+        m.add_constr(x + y <= 1.5, name="row")
+        session = m.session(backend="simplex")
+        with pytest.raises(ModelError):
+            session.update_constraint_coeff("row", x, math.inf)
+        with pytest.raises(ModelError):
+            session.update_constraint_rhs("row", math.nan)
+        with pytest.raises(ModelError):
+            session.update_objective_coeff(y, -math.inf)
+        with pytest.raises(ModelError):
+            session.update_var_bounds(x, lb=0.0, ub=math.nan)
+        # Nothing was patched, and infinite bounds are still accepted.
+        session.update_var_bounds(x, lb=-math.inf)
+        solution = session.solve()
+        assert solution.objective == pytest.approx(1.5)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.optim import Model, SolveStatus, lin_sum, solve_model
 from repro.optim import scipy_backend
+from repro.optim.analysis import analyze_form
 from repro.optim.cuts import (
     append_cut_rows,
     reduced_cost_fixing,
@@ -30,7 +31,7 @@ from repro.optim.cuts import (
     separate_implied_cardinality_cuts,
 )
 from repro.optim.errors import InternalSolverError
-from repro.optim.presolve import presolve, reduction_report
+from repro.optim.presolve import presolve
 from repro.optim.simplex import SimplexSolver
 
 TOL = 1e-6
@@ -109,6 +110,18 @@ class TestReductions:
         assert red.b_ub.size == 1
         assert red.b_ub[0] == pytest.approx(3.0)
 
+    def test_opposite_direction_parallel_rows_both_survive(self):
+        # x + y <= 3 and x + y >= 1 bracket a range: neither is redundant.
+        m = Model("bracket", sense="min")
+        x = m.add_var("x", lb=0.0, ub=5.0)
+        y = m.add_var("y", lb=0.0, ub=5.0)
+        m.add_constr(x + y <= 3.0, name="upper")
+        m.add_constr(x + y >= 1.0, name="lower")
+        m.set_objective(x + 2.0 * y)
+        red, _ = presolve(m.to_standard_form())
+        assert red.rows_removed == 0
+        assert set(red.row_map) == {"upper", "lower"}
+
     def test_empty_column_fixed_at_preferred_bound(self):
         m = Model("empty", sense="min")
         x = m.add_var("x", lb=-1.0, ub=4.0)  # cost +1: prefers lb
@@ -149,15 +162,15 @@ class TestReductions:
         if ref is not None:
             assert ours.objective == pytest.approx(ref.objective, abs=TOL)
 
-    def test_reduction_report_is_informational(self):
+    def test_analyzer_dry_run_is_informational(self):
         m = Model("report", sense="min")
         x = m.add_var("x", lb=1.0, ub=1.0)
         y = m.add_var("y", lb=0.0, ub=2.0)
         m.add_constr(x + y <= 10.0, name="loose")
         m.set_objective(x + y)
-        diagnostics = reduction_report(m.to_standard_form())
+        diagnostics = analyze_form(m.to_standard_form())
         assert diagnostics, "expected presolve findings on a reducible model"
-        assert all(d.severity != "error" for d in diagnostics)
+        assert all(d.severity == "info" for d in diagnostics)
 
 
 class TestInfeasibility:

@@ -59,21 +59,24 @@ def _mip_model():
     return m
 
 
+_reported_rules = []
+
+
 @pytest.fixture(autouse=True)
 def _clean_counters():
     instr.reset()
-    diagnostics.reset()
+    _reported_rules.clear()
+    previous = diagnostics.set_handler(
+        lambda _label, found: _reported_rules.extend(d.rule for d in found)
+    )
     yield
+    diagnostics.set_handler(previous)
     instr.reset()
-    diagnostics.reset()
 
 
 def _rung_rules():
-    """Diagnostic rule names reported since the fixture reset."""
-    rules = []
-    for _label, diags in diagnostics.recent_reports():
-        rules.extend(d.rule for d in diags)
-    return rules
+    """Diagnostic rule names reported since the fixture installed its handler."""
+    return list(_reported_rules)
 
 
 class TestDeadline:
