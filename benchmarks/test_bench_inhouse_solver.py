@@ -27,6 +27,8 @@ from repro.optim import SolveStatus
 from repro.optim import instrumentation as instr
 from repro.optim import scipy_backend
 from repro.passive.costs import uniform_costs
+from repro.passive.ilp import solve_ilp
+from repro.passive.problem import PPMProblem
 from repro.passive.sampling import SamplingProblem, _build_ppme_model, solve_ppme
 from repro.topology import paper_pop
 from repro.traffic import generate_traffic_matrix
@@ -169,3 +171,43 @@ def test_bench_inhouse_figure7(benchmark):
     print(f"\nin-house figure-7 sweep: {len(rows)} coverage targets")
     for row in rows:
         assert row["ilp_devices"] <= row["greedy_devices"] + 1e-9
+
+
+#: Ceiling on dual pivots per LP solve over the three coverages the
+#: ``pop10-sweep`` workload of ``perfbench/`` pins.  Picking each leaving
+#: row by its violation alone ran 20.2 (8,336 dual pivots over 412 solves);
+#: devex row weights carried from parent to child run 12.1 (5,036 / 416).
+_SWEEP_DUAL_PIVOTS_PER_SOLVE = 15.0
+
+
+def test_gate_inhouse_sweep_dual_pivots_per_solve(benchmark):
+    """Counter gate on the warm node re-solves of the pinned Figure 7 sweep.
+
+    Branch and bound re-solves every child from its parent's basis with
+    dual simplex pivots, so dual pivots per LP solve measure how well the
+    dual loop picks its leaving rows.  The count is deterministic for the
+    pinned instance (pop10, seed 0, k = 0.75, 0.90 and 1.00).
+    """
+    matrix = generate_traffic_matrix(paper_pop("pop10", seed=0), seed=0)
+
+    def run():
+        instr.reset()
+        with mock.patch.object(scipy_backend, "is_available", lambda: False):
+            return [
+                solve_ilp(PPMProblem(matrix, coverage=k), backend="branch-and-bound")
+                for k in (0.75, 0.90, 1.00)
+            ]
+
+    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    dual_pivots, lp_solves = instr.get("dual_pivots"), instr.get("lp_solves")
+    ratio = dual_pivots / lp_solves
+    print(
+        f"\nin-house pop10 sweep: {dual_pivots} dual pivots over {lp_solves} LP "
+        f"solves ({ratio:.1f} per solve, ceiling {_SWEEP_DUAL_PIVOTS_PER_SOLVE:.0f}); "
+        f"devices {[r.num_devices for r in results]}"
+    )
+    assert ratio <= _SWEEP_DUAL_PIVOTS_PER_SOLVE, (
+        f"{ratio:.1f} dual pivots per node LP on the pinned pop10 sweep, over "
+        f"the {_SWEEP_DUAL_PIVOTS_PER_SOLVE:.0f} ceiling; check the dual loop's "
+        "leaving-row rule and the row weights carried in the basis token"
+    )

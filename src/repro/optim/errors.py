@@ -58,3 +58,7 @@ class InfeasibleError(OptimError):
 
 class UnboundedError(OptimError):
     """Raised when the objective can be improved without bound."""
+
+
+class NoIncumbentError(OptimError):
+    """Raised when a value is read from a solve that found no point."""

@@ -617,7 +617,7 @@ class Model:
         if isinstance(item, Variable):
             return sol.value(item.name)
         if isinstance(item, LinExpr):
-            return item.value(sol.values)
+            return item.value(sol.point())
         raise ModelError(f"cannot evaluate object of type {type(item).__name__}")
 
     def check_feasible(self, assignment: Mapping[str, float], tol: float = 1e-6) -> bool:

@@ -44,11 +44,11 @@ escape stays the last rung regardless of pricing mode -- and a stall that
 survives even Bland (:data:`_STALL_ABORT` consecutive zero-step pivots, the
 signature of *primal* degeneracy, which no pricing or cost perturbation can
 cure) aborts with :class:`_DegenerateStall` so the recovery ladder's
-bound-shift rung can resolve it on slightly expanded bounds.  The dual
-warm-repair loop uses devex *row* weights for its leaving-row choice under
-``"devex"``; its entering-column choice remains a full bounded ratio test
-(dual feasibility of the repaired basis requires scanning every eligible
-column, so partial pricing is unsound there).
+bound-shift rung can resolve it on slightly expanded bounds.  ``pricing``
+steers only this primal rule; the dual warm-repair loop picks its leaving
+row by devex *row* weights carried in the basis token, and its entering
+column by a full bounded ratio test (partial pricing is unsound there:
+dual feasibility needs every eligible column scanned).
 
 Warm starts (branch-and-bound children, parameterized re-solves) restore
 the parent's basis *and* non-basic bound statuses, refactorize once, and
@@ -264,7 +264,8 @@ class _Basis:
     ``factor`` carries the factorization that was current at optimality;
     warm starts clone it (sharing the immutable LU base, copying the update
     file) instead of refactorizing, so a branch-and-bound child pays zero
-    factorizations until its own update file fills up.
+    factorizations until its own update file fills up.  ``row_weights``,
+    the dual loop's devex row weights (``None``: all 1), is copied likewise.
     """
 
     basis: np.ndarray  # column index of each basic variable, length m
@@ -274,6 +275,7 @@ class _Basis:
     n_cols: int
     free_mask: np.ndarray
     factor: Optional["_BasisFactor"] = None
+    row_weights: Optional[np.ndarray] = None
 
 
 #: A warm-start basis paired with the canonical LP it is a basis of: what
@@ -587,9 +589,9 @@ class _BasisFactor:
 
 
 class _State:
-    """Mutable simplex state: basis, statuses, basic values, factorization."""
+    """Mutable simplex state: basis, statuses, values, factor, row weights."""
 
-    __slots__ = ("lp", "basis", "vstat", "art_sign", "lower_ext", "upper_ext", "xB", "factor")
+    __slots__ = ("lp", "basis", "vstat", "art_sign", "lower_ext", "upper_ext", "xB", "factor", "row_weights")
 
     def __init__(
         self,
@@ -608,6 +610,7 @@ class _State:
         self.upper_ext = upper_ext
         self.xB = np.zeros(lp.m)
         self.factor: Optional[_BasisFactor] = None
+        self.row_weights = np.ones(lp.m)
 
     def nonbasic_values(self) -> np.ndarray:
         """Value of every column as implied by its status (0 on basic slots)."""
@@ -913,27 +916,26 @@ def _dual_iterations(
     max_iter: int,
     d: Optional[np.ndarray] = None,
     deadline: Optional[Deadline] = None,
-    pricing: str = "dantzig",
 ) -> Tuple[str, int]:
     """Restore primal feasibility of a dual-feasible factorized basis.
 
     This is the node re-solve workhorse of warm-started branch and bound:
     after a bound change the parent-optimal basis keeps sign-consistent
     reduced costs but some basic values fall outside their bounds.  Each
-    iteration drops the most-violating basic variable onto its violated
-    bound and enters the column selected by the bounded dual ratio test.
+    iteration drops a violating basic variable onto its violated bound and
+    enters the column selected by the bounded dual ratio test.
 
     ``d`` seeds the non-basic reduced costs (the caller usually has them
     already); they are then maintained *incrementally* -- one BTRAN and one
     sparse row pass per pivot instead of a from-scratch pricing -- and
     recomputed exactly at every refactorization to wash out drift.
 
-    Under ``pricing="devex"`` the *leaving-row* choice weighs each row's
-    violation by a devex row weight (the dual analogue of reference-
-    framework pricing: ``viol_r^2 / w_r`` approximates the steepest-edge
-    row norm); the entering-column choice stays a full bounded ratio test
-    in every mode -- dual feasibility of the repaired basis requires
-    scanning all eligible columns, so partial pricing is unsound here.
+    The leaving row maximizes ``viol_r^2 / w_r`` over the devex row weights
+    ``state.row_weights`` (``w_r`` approximates the steepest-edge row norm),
+    updated in place, so a warm start seeded with its parent's weights
+    continues the parent's reference framework.  The entering column comes
+    from a full bounded ratio test: dual feasibility of the repaired basis
+    needs every eligible column scanned, so partial pricing is unsound here.
 
     Returns ``("feasible", iters)`` when every basic value is back inside
     its bounds, ``("infeasible", iters)`` when a violated row admits no
@@ -953,7 +955,7 @@ def _dual_iterations(
     movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
     if d is None:
         d = _reduced_costs(state, costs)
-    dweights = np.ones(m) if pricing == "devex" else None
+    dweights = state.row_weights
     iterations = 0
     while iterations < max_iter:
         if (
@@ -972,13 +974,8 @@ def _dual_iterations(
         viol = np.maximum(below, above)
         if m == 0 or viol.max() <= _WARM_FEAS_TOL:
             return "feasible", iterations
-        if dweights is None:
-            r = int(np.argmax(viol))
-        else:
-            scores = np.full(m, -math.inf)
-            sel = viol > _WARM_FEAS_TOL
-            scores[sel] = viol[sel] * viol[sel] / dweights[sel]
-            r = int(np.argmax(scores))
+        scores = np.where(viol > _WARM_FEAS_TOL, viol * viol / dweights, -math.inf)
+        r = int(np.argmax(scores))
         below_case = below[r] >= above[r]
 
         e_r = np.zeros(m)
@@ -1052,19 +1049,18 @@ def _dual_iterations(
             state.vstat[q] = BASIC
             state.basis[r] = q
             state.factor.update(r, w)
-            if dweights is not None:
-                # Devex row-weight recurrence: rows touched by the pivot
-                # inherit at least the scaled pivot-row weight; the pivot
-                # row's own weight is rescaled by the pivot element.
-                wr = float(w[r])
-                ref = dweights[r]
-                cand = (w / wr) ** 2 * ref
-                if np.all(np.isfinite(cand)):
-                    np.maximum(dweights, cand, out=dweights)
-                dweights[r] = max(ref / (wr * wr), 1.0)
-                if float(dweights.max()) > _DEVEX_RESET_LIMIT:
-                    dweights[:] = 1.0
-                    instr.add("devex_resets")
+            # Devex row-weight recurrence: rows touched by the pivot inherit
+            # at least the scaled pivot-row weight; the pivot row's own
+            # weight is rescaled by the pivot element.
+            wr = float(w[r])
+            ref = dweights[r]
+            cand = (w / wr) ** 2 * ref
+            if np.all(np.isfinite(cand)):
+                np.maximum(dweights, cand, out=dweights)
+            dweights[r] = max(ref / (wr * wr), 1.0)
+            if float(dweights.max()) > _DEVEX_RESET_LIMIT:
+                dweights[:] = 1.0
+                instr.add("devex_resets")
             # Incremental dual-price update: d_j' = d_j - theta * alpha_j with
             # theta = d_q / alpha_q; the entering column becomes basic (d = 0)
             # and the leaving variable's price is exactly -theta.
@@ -1108,6 +1104,7 @@ def _finish_primal(
         n_cols=lp.n,
         free_mask=lp.free_mask.copy(),
         factor=state.factor,
+        row_weights=state.row_weights,
     )
     return "optimal", state.solution_vector(), total, token
 
@@ -1227,6 +1224,8 @@ def _warm_solve(
     st[bad_up] = AT_LOWER
 
     state = _State(lp, basis, vstat, art_sign, lower_ext, upper_ext)
+    if token.row_weights is not None:
+        state.row_weights = token.row_weights.copy()
     if (
         not fresh_factor
         and token.factor is not None
@@ -1284,9 +1283,7 @@ def _warm_solve(
     if faultinject.ACTIVE and faultinject.should(faultinject.WARM_REPAIR):
         dual_status, dual_iters = "stalled", 0
     else:
-        dual_status, dual_iters = _dual_iterations(
-            state, costs, max_iter, d=d, deadline=deadline, pricing=pricing
-        )
+        dual_status, dual_iters = _dual_iterations(state, costs, max_iter, d=d, deadline=deadline)
     if dual_status == "infeasible":
         return "infeasible", None, dual_iters, None
     if dual_status == "deadline":
@@ -1317,7 +1314,8 @@ def extend_warm_basis(
     ``n_exp_new + i``, and a leftover phase-1 artificial follows its row --
     while each appended row starts with its own slack basic and appended
     columns rest at a finite bound.  The migrated token carries no
-    factorization (``factor=None``), so the next :func:`_warm_solve`
+    factorization (``factor=None``) and no row weights (carried across cut
+    rows they grew the Figure 7 trees), so the next :func:`_warm_solve`
     refactorizes once and then resumes phase 2 directly whenever the old
     point is still primal feasible (the common case for a pure column
     append).  Returns ``None`` when the two lowerings are not related by an

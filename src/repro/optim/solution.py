@@ -6,6 +6,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
+from repro.optim.errors import NoIncumbentError
+
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.optim._types import FloatArray
 
@@ -125,15 +127,23 @@ class Solution:
         """True when the solution is proven optimal."""
         return self.status.is_optimal
 
+    def point(self) -> Dict[str, float]:
+        """The variable values; raises :class:`NoIncumbentError` when empty."""
+        if not self.values:
+            raise NoIncumbentError(f"no point to read: the solve ended {self.status.value!r}")
+        return self.values
+
     def value(self, name: str) -> float:
         """Return the value of variable ``name``.
 
         Raises
         ------
+        NoIncumbentError
+            If the solve produced no point at all.
         KeyError
             If the variable is not part of the solution.
         """
-        return self.values[name]
+        return (self.values or self.point())[name]
 
     def nonzeros(self, tol: float = 1e-9) -> Dict[str, float]:
         """Return only the variables whose value exceeds ``tol`` in magnitude."""

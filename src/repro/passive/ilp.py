@@ -205,7 +205,8 @@ def _lp2_colgen_hints(problem: PPMProblem, form: "StandardForm") -> "ColGenHints
     for col in chosen:
         for link in col.crossing:
             gain[link_pos[link]] += col.volume
-    uncovered = {col.index for col in chosen}
+    chosen_ids = {col.index for col in chosen}
+    uncovered = set(chosen_ids)
     covers: Dict[int, List[int]] = {}
     for col in chosen:
         for link in col.crossing:
@@ -226,7 +227,7 @@ def _lp2_colgen_hints(problem: PPMProblem, form: "StandardForm") -> "ColGenHints
     observable = [
         col.index
         for col in usable
-        if col.index not in {c.index for c in chosen}
+        if col.index not in chosen_ids
         and any(link in seed_links for link in col.crossing)
     ]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.optim import Model, Solution, SolveStatus, lin_sum
 from repro.optim import scipy_backend
+from repro.optim.errors import NoIncumbentError
 
 needs_scipy = pytest.mark.skipif(
     not scipy_backend.is_available(), reason="requests the scipy backend explicitly"
@@ -29,6 +30,14 @@ class TestSolution:
         assert solution.as_dict() == {"x": 1.0, "y": 0.0, "z": 1e-12}
         with pytest.raises(KeyError):
             solution.value("missing")
+
+    def test_reading_a_solution_without_a_point_raises_a_typed_error(self):
+        model = Model("limit", sense="min")
+        x, y = model.add_var("x"), model.add_var("y")
+        model.attach_solution(Solution(status=SolveStatus.TIME_LIMIT))
+        for read in (lambda: model.value(x), lambda: model.value(x + 2 * y)):
+            with pytest.raises(NoIncumbentError, match="time_limit"):
+                read()
 
     def test_default_fields(self):
         solution = Solution(status=SolveStatus.INFEASIBLE)

@@ -10,6 +10,10 @@ re-solves that used to restart cold:
   stalling into a cold solve;
 * the branch-and-bound root cut rounds migrate each round's basis across the
   appended cut rows.
+
+The dual loop's devex row weights ride in the basis token: every warm start
+continues from a private copy of its parent's weights, and a basis migrated
+across appended rows starts again from the unit reference.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from repro.optim import instrumentation as instr
 from repro.optim import simplex as simplex_mod
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InfeasibleError
-from repro.optim.simplex import SimplexSolver, solve_standard_form
+from repro.optim.simplex import SimplexSolver, extend_warm_basis, solve_standard_form
 
 
 @pytest.fixture
@@ -91,6 +95,9 @@ def test_cost_shifted_repair_matches_cold_solves(cold_solves):
                 basis = token
 
 
+@pytest.mark.skipif(
+    not scipy_backend.is_available(), reason="HiGHS deploys the devices and answers the chain"
+)
 def test_ppme_star_drift_chain_solves_cold_once(cold_solves):
     # Section 5.4: devices frozen at the PPME optimum, sampling rates
     # re-optimised at each of 20 one-step drifts of the traffic (3 of them
@@ -148,3 +155,72 @@ def test_root_cut_rounds_solve_cold_once(monkeypatch, cold_solves):
     assert solution.objective == pytest.approx(6.884114, abs=1e-6)
     assert instr.get("cuts_added") > 0
     assert cold_solves[0] == 1
+
+
+def _branching_lp(seed):
+    """A fractional covering LP: 10 variables in [0, 1], 6 ``>= 1.5`` rows."""
+    rng = np.random.default_rng(seed)
+    m = Model(f"branching-{seed}", sense="min")
+    xs = [m.add_var(f"x{i}", lb=0.0, ub=1.0) for i in range(10)]
+    for _ in range(6):
+        coeffs = rng.uniform(0.0, 1.0, size=10)
+        m.add_constr(lin_sum(float(c) * x for c, x in zip(coeffs, xs)) >= 1.5)
+    m.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(1, 2, size=10), xs)))
+    return m.to_standard_form()
+
+
+def _most_fractional(solution, form):
+    x = np.array([solution.values[name] for name in form.names])
+    return int(np.argmax(np.abs(x - np.round(x))))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_children_continue_a_private_copy_of_the_parent_row_weights(seed):
+    # A parent node reached by dual pivots, so its token holds non-unit row
+    # weights, and its two children re-solved from that one token in both
+    # orders: each child must see the parent's weights, not its sibling's.
+    form = _branching_lp(seed)
+    solver = SimplexSolver(form)
+    root, token = solver.solve()
+    lb, ub = form.lb.copy(), form.ub.copy()
+    ub[_most_fractional(root, form)] = 0.0
+    parent, token = solver.solve(lb=lb, ub=ub, warm_basis=token)
+    assert not np.all(token.row_weights == 1.0)
+    saved = token.row_weights.copy()
+    j = _most_fractional(parent, form)
+
+    def child(fix):
+        lo, hi = lb.copy(), ub.copy()
+        lo[j] = hi[j] = fix
+        instr.reset()
+        sol, _ = solver.solve(lb=lo, ub=hi, warm_basis=token)
+        assert np.array_equal(token.row_weights, saved)
+        return sol.status, sol.objective, sol.values, instr.get("dual_pivots")
+
+    down_first = [child(0.0), child(1.0)]
+    up_first = [child(1.0), child(0.0)]
+    assert down_first == up_first[::-1]
+    assert down_first[0][3] + down_first[1][3] > 0
+
+
+def test_cut_round_migration_drops_the_row_weights():
+    # Appending a <= row (a cut) re-lowers the LP; the migrated token starts
+    # the next round's dual pivots from the unit reference.
+    model = Model("cut-round", sense="min")
+    xs = [model.add_var(f"x{i}", lb=0.0, ub=1.0) for i in range(4)]
+    model.add_constr(lin_sum(xs) >= 1.5)
+    model.add_constr(xs[0] + 2 * xs[1] >= 1.0)
+    model.set_objective(lin_sum((1.0 + 0.5 * i) * x for i, x in enumerate(xs)))
+    solver = SimplexSolver(model.to_standard_form())
+    _, token = solver.solve()
+    assert token.row_weights is not None
+    old_lp = solver._lp
+    model.add_constr(xs[0] + xs[1] <= 1.0, name="cut")
+    grown = SimplexSolver(model.to_standard_form())
+    new_lp = grown._ensure_canonical(grown.form.lb, grown.form.ub)
+    migrated = extend_warm_basis(token, old_lp, new_lp)
+    assert migrated is not None
+    assert migrated.row_weights is None
+    assert migrated.factor is None
+    sol, _ = grown.solve(warm_basis=migrated)
+    assert sol.objective == pytest.approx(solve_standard_form(grown.form).objective)

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.optim.errors import InfeasibleError
+from repro.optim.errors import InfeasibleError, NoIncumbentError
 from repro.passive import (
     PPMProblem,
     expected_gain,
@@ -16,7 +16,9 @@ from repro.passive import (
     solve_incremental,
     solve_max_coverage,
 )
+from repro.topology import paper_pop
 from repro.topology.pop import link_key
+from repro.traffic import generate_traffic_matrix
 
 
 class TestCompactILP:
@@ -57,6 +59,16 @@ class TestCompactILP:
     def test_never_worse_than_greedy(self, small_traffic):
         problem = PPMProblem(small_traffic, coverage=0.95)
         assert solve_ilp(problem).num_devices <= solve_greedy(problem).num_devices
+
+
+    def test_limit_without_incumbent_raises_a_typed_error(self):
+        # The deadline expires before branch and bound finds any point: the
+        # wrapper's value read must name the status, not die on a bare
+        # KeyError for the first variable.
+        matrix = generate_traffic_matrix(paper_pop("pop10", seed=0), seed=0)
+        problem = PPMProblem(matrix, coverage=0.9)
+        with pytest.raises(NoIncumbentError, match="time_limit"):
+            solve_ilp(problem, backend="branch-and-bound", time_limit=1e-9)
 
 
 class TestIncrementalPlacement:
