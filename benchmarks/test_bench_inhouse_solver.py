@@ -10,7 +10,8 @@ numbers that make a sparse-vs-dense win attributable rather than anecdotal.
 
 Workloads mirror the PR 2 comparison table in ``ROADMAP.md`` (pop10,
 seed 0, setup cost 5x exploitation).  The full 132-traffic exact MILP takes
-over a minute; set ``REPRO_BENCH_FULL=1`` to include it.
+over a minute; set ``REPRO_BENCH_FULL=1`` to include it.  The Figure 8 gate
+hands the raw pop15 LP2 root relaxation straight to the simplex.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from repro.experiments import ExperimentConfig, figure7_passive_pop10
 from repro.optim import SolveStatus
 from repro.optim import instrumentation as instr
 from repro.optim import scipy_backend
+from repro.optim.simplex import solve_standard_form
 from repro.passive.costs import uniform_costs
-from repro.passive.ilp import solve_ilp
+from repro.passive.ilp import PPMSession, solve_ilp
 from repro.passive.problem import PPMProblem
 from repro.passive.sampling import SamplingProblem, _build_ppme_model, solve_ppme
 from repro.topology import paper_pop
@@ -211,3 +213,51 @@ def test_gate_inhouse_sweep_dual_pivots_per_solve(benchmark):
         f"the {_SWEEP_DUAL_PIVOTS_PER_SOLVE:.0f} ceiling; check the dual loop's "
         "leaving-row rule and the row weights carried in the basis token"
     )
+
+
+#: HiGHS objectives of the raw LP2 root relaxation of Figure 8's first
+#: instance (pop15, seed 0), by coverage.
+_FIGURE8_ROOT_OBJECTIVES = {0.80: 9.316783751206, 0.95: 14.569174675443}
+
+#: Iteration budget for each Figure 8 root LP.  It counts dual bound flips
+#: as well as pivots: the dual loop runs 3,747 and 3,591 iterations for
+#: 1,571 and 1,499 pivots here.  The primal two-phase start used up this
+#: budget without converging.
+_FIGURE8_ROOT_MAX_ITER = 6_000
+
+#: Ceiling on primal + dual pivots per Figure 8 root LP (1,571 and 1,499).
+_FIGURE8_ROOT_MAX_PIVOTS = 2_500
+
+
+@pytest.mark.parametrize("coverage", sorted(_FIGURE8_ROOT_OBJECTIVES))
+def test_gate_inhouse_figure8_root_lp(benchmark, coverage):
+    """The paper's own Figure 8 root LP solves in-house, to HiGHS's optimum.
+
+    The raw LP2 form of pop15 (1,963 columns, no presolve) has non-negative
+    costs and no equality rows, so the simplex starts from the all-slack
+    basis and repairs the coverage row with dual pivots.
+    """
+    matrix = generate_traffic_matrix(paper_pop("pop15", seed=0), seed=0)
+    session = PPMSession(PPMProblem(matrix, coverage=coverage), backend="simplex")
+    form = session.model.to_standard_form()
+    expected = _FIGURE8_ROOT_OBJECTIVES[coverage]
+    if scipy_backend.is_available():
+        expected = scipy_backend.solve_lp(form).objective
+
+    instr.reset()
+    solution = benchmark.pedantic(
+        solve_standard_form,
+        args=(form,),
+        kwargs={"max_iter": _FIGURE8_ROOT_MAX_ITER},
+        rounds=1,
+        iterations=1,
+    )
+    pivots = instr.get("pivots") + instr.get("dual_pivots")
+    print(
+        f"\nin-house Figure 8 root LP (pop15, k={coverage}): "
+        f"{solution.status.name} obj={solution.objective} against HiGHS "
+        f"{expected}, {pivots} pivots"
+    )
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == pytest.approx(expected, rel=1e-6)
+    assert pivots <= _FIGURE8_ROOT_MAX_PIVOTS

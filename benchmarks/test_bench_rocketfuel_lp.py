@@ -14,20 +14,29 @@ relaxation with the in-house simplex under two configurations:
 * **new**: sparse Forrest-Tomlin spike updates and devex/partial pricing
   (the ``pricing="auto"`` resolution at this size).
 
-The baseline is not merely slow here -- the coverage LP is massively primal
-degenerate (one coverage row couples hundreds of ``delta`` columns against
-near-duplicate monitor rows) and Dantzig pricing stalls in the degenerate
-cone, so the baseline deterministically fails to converge while the devex
-reference framework prices out of it.  The gate therefore asserts both that
-the new configuration reaches ``OPTIMAL`` and that it does so at least 3x
-faster than the baseline takes to *fail*.  Both arms' wall-times and solver
+Both arms run the primal two-phase cold start the gate was calibrated on:
+the default all-slack dual start (``simplex._SLACK_START_MIN_COLS``) speeds
+up the baseline arm too, so the gate pins it off.  At this size the default
+solver takes the primal path only after a fallback, so the gate now guards
+that fallback path.  On that path the baseline is not merely slow -- the
+coverage LP is massively primal degenerate (one coverage row couples
+hundreds of ``delta`` columns against near-duplicate monitor rows) and
+Dantzig pricing stalls in the degenerate cone, so the baseline
+deterministically fails to converge while the devex reference framework
+prices out of it.  The gate therefore asserts both that the new
+configuration reaches ``OPTIMAL`` and that it does so at least 3x faster
+than the baseline takes to *fail*.  Both arms' wall-times and solver
 counters (``ft_updates``, ``spike_nnz_peak``, ``pricing_passes``,
 ``degenerate_pivots``, recovery-rung counts, ...) are persisted to
 ``BENCH_optim.json`` under distinct names by the conftest harness.
+
+The default path, dual pivots from the all-slack basis, is gated on its
+counters by ``test_rocketfuel_root_relaxation_auto_resolves_to_devex``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from unittest import mock
 
@@ -63,6 +72,12 @@ _SPEEDUP_FLOOR = 3.0
 #: Root-relaxation objective, cross-checked against HiGHS on the same form.
 _EXPECTED_OBJECTIVE = 29.453087968
 
+#: Work ceilings for the default path (the all-slack dual start).  It takes
+#: 1,546 dual pivots and 77 factorizations; the primal two-phase start took
+#: 9,988 pivots and 494 factorizations.
+_DEFAULT_PATH_MAX_PIVOTS = 2_500
+_DEFAULT_PATH_MAX_FACTORIZATIONS = 150
+
 
 @pytest.fixture(scope="module")
 def rocketfuel_root_form():
@@ -76,16 +91,18 @@ def rocketfuel_root_form():
 
 
 def test_gate_rocketfuel_root_relaxation_speedup(
-    benchmark, _bench_records, rocketfuel_root_form
+    benchmark, _bench_records, rocketfuel_root_form, monkeypatch
 ):
     """Wall-time gate: FT + devex must beat dense-eta + Dantzig by >= 3x.
 
-    Runs the two arms back to back on the same lowered form, persisting each
-    arm's wall-time and counter snapshot separately so the trajectory in
-    ``BENCH_optim.json`` attributes the win (spike updates, partial pricing
-    passes, degenerate-pivot counts) instead of just asserting it.
+    Runs the two arms back to back on the same lowered form, both on the
+    primal two-phase cold start, persisting each arm's wall-time and counter
+    snapshot separately so the trajectory in ``BENCH_optim.json`` attributes
+    the win (spike updates, partial pricing passes, degenerate-pivot counts)
+    instead of just asserting it.
     """
     form = rocketfuel_root_form
+    monkeypatch.setattr(simplex, "_SLACK_START_MIN_COLS", math.inf)
 
     instr.reset()
     start = time.perf_counter()
@@ -138,9 +155,33 @@ def test_gate_rocketfuel_root_relaxation_speedup(
 
 
 def test_rocketfuel_root_relaxation_auto_resolves_to_devex(rocketfuel_root_form):
-    """``pricing="auto"`` must pick devex at this size -- Dantzig cannot
-    solve the instance, so the auto threshold is load-bearing, not a tuning
-    nicety."""
-    solution = solve_standard_form(rocketfuel_root_form)
+    """Counter gate on the default path: the all-slack dual start.
+
+    ``pricing="auto"`` resolves to devex at this size, which the primal
+    path pinned by the speedup gate above needs (Dantzig stalls there).  By
+    default, though, the cold solve starts from the all-slack basis, which
+    is dual feasible because the LP's costs are non-negative, and dual
+    pivots repair the violated coverage rows.  That path must finish within
+    the work ceilings above, with no recovery rung.
+    """
+    form = rocketfuel_root_form
+    assert simplex._resolve_pricing("auto", form.num_vars) == "devex"
+    instr.reset()
+    solution = solve_standard_form(form)
+    counters = instr.snapshot()
+    print(
+        f"\nrocketfuel root LP, default path: {solution.status.name}, "
+        f"{counters['pivots']} primal + {counters['dual_pivots']} dual pivots, "
+        f"{counters['factorizations']} factorizations"
+    )
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(_EXPECTED_OBJECTIVE, abs=1e-5)
+    assert counters["dual_pivots"] > 0
+    assert counters["pivots"] + counters["dual_pivots"] <= _DEFAULT_PATH_MAX_PIVOTS
+    assert counters["factorizations"] <= _DEFAULT_PATH_MAX_FACTORIZATIONS
+    rungs = {
+        name: count
+        for name, count in counters.items()
+        if name.startswith("recovery_") or name == "warm_repair_stalls"
+    }
+    assert not any(rungs.values()), rungs

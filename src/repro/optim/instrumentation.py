@@ -55,6 +55,7 @@ COUNTER_NAMES = (
     "recovery_perturb",      # cost-perturbation retries (with post-solve cleanup)
     "recovery_bound_shift",  # bound-shift retries for degenerate stalls (with repair)
     "recovery_shift_fallback",  # proactive bound-shift solves that fell back to exact bounds
+    "recovery_slack_fallback",  # all-slack dual cold starts that fell back to the primal ladder
     "recovery_bland",        # forced-Bland-pricing retries
     "recovery_cold_restart", # last-ditch cold two-phase restarts
     "backend_failovers",     # fallback="auto" hops to another backend

@@ -122,6 +122,7 @@ _RUNG_COUNTERS = {
     "perturb": "recovery_perturb",
     "bound-shift": "recovery_bound_shift",
     "shift-fallback": "recovery_shift_fallback",
+    "slack-fallback": "recovery_slack_fallback",
     "bland": "recovery_bland",
     "cold-restart": "recovery_cold_restart",
     "failover": "backend_failovers",

@@ -60,6 +60,8 @@ reduced costs, and phase 2 then finishes on the true costs; so a warm start
 falls back to a cold solve only when the repair stalls or the basis is
 numerically unusable.  :func:`resolve_appended` carries a basis across
 appended columns and rows (column-generation masters, root cut rounds).
+A large LP without equality rows cold-starts the same way from the all-slack
+basis (:data:`_SLACK_START_MIN_COLS`); other cold solves run the primal ladder.
 
 Options honored (see :func:`repro.optim.backend.solve_model`):
 
@@ -111,14 +113,22 @@ _STALL_LIMIT = 32
 #: :class:`_DegenerateStall` so the recovery ladder can shift bounds instead.
 _STALL_ABORT = 2048
 
-#: Column count from which a *cold* solve starts on shifted bounds
+#: Column count from which a cold primal solve starts on shifted bounds
 #: proactively (solve the expanded LP, restore the true bounds, repair with
 #: warm-start dual pivots) instead of waiting for a degenerate stall to
 #: trigger the same machinery as a recovery rung.  Large placement LPs are
-#: massively primal degenerate and stall almost surely without it; small
-#: LPs (unit tests, branch-and-bound node relaxations) keep the exact
-#: unshifted path.
+#: massively primal degenerate (the Rocketfuel root LP takes 29,422 primal
+#: pivots without it, 9,988 with it); they reach the primal path with
+#: equality rows, or when a warm or all-slack start falls back.
 _SHIFT_PROACTIVE_COLS = 600
+
+#: Column count from which a cold solve of an LP without equality rows
+#: starts from the all-slack basis (dual feasible when ``c >= 0``).  With no
+#: threshold the pop10 LPs (101-343 columns) reach other root bases: the
+#: pop10-drift benchmark's wall time rose 13% and the Figure 7 sweep's trees
+#: grew from 290 to 340 nodes.  No LP of 344-1,305 columns was measured; the
+#: value is :data:`_DEVEX_MIN_COLS`'s.
+_SLACK_START_MIN_COLS = 600
 
 #: Small-basis floor of the spike-count cap: a basis with ``2 * m`` below
 #: this still carries this many updates before refactorizing (see
@@ -281,6 +291,15 @@ class _Basis:
 #: A warm-start basis paired with the canonical LP it is a basis of: what
 #: :func:`resolve_appended` needs to carry the basis across an append.
 WarmStart = Tuple[_Basis, _CanonicalLP]
+
+
+def _slack_basis(lp: _CanonicalLP) -> _Basis:
+    """The all-slack basis of an LP without equality rows, as a warm token."""
+    slacks = np.arange(lp.n - lp.m, lp.n, dtype=np.int64)
+    vstat = np.full(lp.n + lp.m, AT_LOWER, dtype=np.int8)
+    vstat[: lp.n] = np.where(np.isfinite(lp.lower), AT_LOWER, AT_UPPER)
+    vstat[slacks] = BASIC
+    return _Basis(slacks, vstat, np.ones(lp.m), lp.m, lp.n, lp.free_mask.copy())
 
 
 def _basis_compatible(basis: Optional[_Basis], lp: _CanonicalLP) -> bool:
@@ -1187,6 +1206,7 @@ def _warm_solve(
     deadline: Optional[Deadline] = None,
     fresh_factor: bool = False,
     pricing: str = "dantzig",
+    stall_rung: str = "warm-stall",
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Resume from a previous basis; ``None`` means fall back to a cold solve.
 
@@ -1203,7 +1223,7 @@ def _warm_solve(
     the constraints.  ``fresh_factor=True`` skips the stored-factorization
     resume and refactorizes from scratch -- the "refactorize" rung of the
     recovery ladder, retried after the stored factors produced numerical
-    garbage.
+    garbage.  A stalled repair is recorded as the ``stall_rung`` rung.
     """
     m, n_cols = lp.m, lp.n
     basis = token.basis.copy()
@@ -1289,11 +1309,11 @@ def _warm_solve(
     if dual_status == "deadline":
         return "deadline", None, dual_iters, None
     if dual_status != "feasible":
-        # Stalled warm repair: the solve silently degrades to a cold
-        # two-phase solve -- make that observable before falling back.
+        # Stalled repair: the solve silently degrades to a cold two-phase
+        # solve -- make that observable before falling back.
         record_rung(
-            "warm-stall",
-            f"warm-start dual repair stalled after {dual_iters} pivots; "
+            stall_rung,
+            f"dual repair stalled after {dual_iters} pivots; "
             "falling back to a cold two-phase solve",
         )
         return None
@@ -1507,10 +1527,10 @@ def _cold_solve_resilient(
     Diagnostic; only when every rung fails does the solve raise
     ``SolverError``.
 
-    Above :data:`_SHIFT_PROACTIVE_COLS` columns the first rung is the
-    bound-shifted solve itself -- at that size the placement LPs are
-    degenerate enough that the plain cold solve stalls almost surely, and
-    starting shifted skips the wasted stalled attempt.
+    From :data:`_SHIFT_PROACTIVE_COLS` columns on the first rung is the
+    bound-shifted solve itself (the placement LPs stall almost surely on
+    exact bounds there); such LPs get here with equality rows, or when a
+    warm start or the all-slack start falls back.
     """
     if lp.n >= _SHIFT_PROACTIVE_COLS:
         try:
@@ -1655,6 +1675,13 @@ class SimplexSolver:
                     )
                 except _NumericalTrouble:
                     result = None
+        elif lp.n >= _SLACK_START_MIN_COLS and lp.m == lp.n_ub:
+            # The slack basis is factorized from scratch: no refactorize retry.
+            slack = _slack_basis(lp)
+            try:
+                result = _warm_solve(lp, slack, limit, deadline, pricing=pricing, stall_rung="slack-fallback")
+            except _NumericalTrouble as exc:
+                record_rung("slack-fallback", f"all-slack dual start failed ({exc}); solving cold")
         if result is None:
             result = _cold_solve_resilient(lp, limit, deadline, pricing=pricing)
         status, y, iterations, token = result

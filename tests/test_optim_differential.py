@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.optim import Model, SolveStatus, SolverSession, lin_sum
-from repro.optim import scipy_backend
+from repro.optim import scipy_backend, simplex
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.simplex import solve_standard_form
 
@@ -97,9 +97,22 @@ class TestLPDifferential:
     # "auto" resolves to Dantzig at fuzz sizes; the explicit "devex" leg
     # forces the reference-framework pricer + partial pricing through the
     # exact same instance stream, so a devex-specific pricing or dual-update
-    # bug cannot hide behind the auto threshold.
-    @pytest.mark.parametrize("pricing", ["auto", "devex"])
-    def test_simplex_matches_highs_on_random_lps(self, pricing):
+    # bug cannot hide behind the auto threshold.  The "slack-start" leg
+    # lowers the all-slack dual start's size threshold to 0, so every LP
+    # without equality rows cold-starts through the dual loop.
+    @pytest.mark.parametrize("leg", ["auto", "devex", "slack-start"])
+    def test_simplex_matches_highs_on_random_lps(self, leg, monkeypatch):
+        pricing = "devex" if leg == "devex" else "auto"
+        slack_starts = [0]
+        if leg == "slack-start":
+            monkeypatch.setattr(simplex, "_SLACK_START_MIN_COLS", 0)
+            build = simplex._slack_basis
+
+            def counted(lp):
+                slack_starts[0] += 1
+                return build(lp)
+
+            monkeypatch.setattr(simplex, "_slack_basis", counted)
         rng = np.random.default_rng(20260729)
         statuses = {status: 0 for status in SolveStatus}
         checked = 0
@@ -117,13 +130,16 @@ class TestLPDifferential:
             ):
                 continue  # numerical-trouble statuses have no defined mirror
             ours = solve_standard_form(form, pricing=pricing)
-            _assert_matches(ours, reference, f"LP #{checked} pricing={pricing}")
+            _assert_matches(ours, reference, f"LP #{checked} leg={leg}")
             statuses[reference.status] += 1
             checked += 1
         # The generator must actually exercise every LP status class.
         assert statuses[SolveStatus.OPTIMAL] >= 50
         assert statuses[SolveStatus.INFEASIBLE] >= 10
         assert statuses[SolveStatus.UNBOUNDED] >= 10
+        if leg == "slack-start":
+            # About a quarter of the stream has no equality rows.
+            assert slack_starts[0] >= 40
 
 
 class TestMILPDifferential:

@@ -14,6 +14,11 @@ re-solves that used to restart cold:
 The dual loop's devex row weights ride in the basis token: every warm start
 continues from a private copy of its parent's weights, and a basis migrated
 across appended rows starts again from the unit reference.
+
+A large LP without equality rows starts from the all-slack basis through the
+same warm path; a start that stalls or fails falls back to the primal ladder
+as the ``slack-fallback`` rung, not as a warm stall, and an LP with equality
+rows keeps the primal start.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.optim import Model, SolveStatus, lin_sum, scipy_backend
+from repro.optim import FaultPlan, Model, SolveStatus, faultinject, lin_sum, scipy_backend
 from repro.optim import instrumentation as instr
 from repro.optim import simplex as simplex_mod
 from repro.optim.branch_and_bound import solve_milp
@@ -224,3 +229,65 @@ def test_cut_round_migration_drops_the_row_weights():
     assert migrated.factor is None
     sol, _ = grown.solve(warm_basis=migrated)
     assert sol.objective == pytest.approx(solve_standard_form(grown.form).objective)
+
+
+def _wide_cover_lp(equality_row):
+    """min c x over [0, 1]^n under four ``>= 20`` cover rows, where n is the
+    all-slack start's size threshold (the rows' slacks make it 604 columns)."""
+    rng = np.random.default_rng(0)
+    m = Model("wide-cover", sense="min")
+    xs = [m.add_var(f"x{i}", lb=0.0, ub=1.0) for i in range(simplex_mod._SLACK_START_MIN_COLS)]
+    for r in range(4):
+        coeffs = rng.uniform(0.0, 1.0, size=len(xs))
+        m.add_constr(lin_sum(float(c) * x for c, x in zip(coeffs, xs)) >= 20.0, name=f"r{r}")
+    if equality_row:
+        m.add_constr(xs[0] + xs[1] == 1.0, name="pair")
+    m.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(1, 2, size=len(xs)), xs)))
+    return m.to_standard_form()
+
+
+def test_stalled_slack_start_falls_back_to_the_primal_ladder(cold_solves):
+    form = _wide_cover_lp(equality_row=False)
+    instr.reset()
+    clean = solve_standard_form(form)
+    assert instr.get("dual_pivots") > 0
+    assert instr.get("pivots") == 0
+    assert cold_solves[0] == 0
+    instr.reset()
+    with faultinject.inject(FaultPlan(stall_warm_repairs=(1,))) as armed:
+        faulted = solve_standard_form(form)
+    assert armed.fired.get(faultinject.WARM_REPAIR) == 1
+    assert instr.get("recovery_slack_fallback") == 1
+    assert instr.get("warm_repair_stalls") == 0
+    assert instr.get("recovery_refactorize") == 0
+    assert cold_solves[0] == 1
+    assert faulted.status is SolveStatus.OPTIMAL
+    assert faulted.objective == pytest.approx(clean.objective, abs=1e-9)
+
+
+def test_failed_slack_start_skips_the_refactorize_retry(cold_solves, monkeypatch):
+    # The slack basis is factorized from scratch on the first attempt, so
+    # numerical trouble goes straight to the primal ladder.
+    form = _wide_cover_lp(equality_row=False)
+    clean = solve_standard_form(form)
+
+    def trouble(*args, **kwargs):
+        raise simplex_mod._NumericalTrouble("injected")
+
+    monkeypatch.setattr(simplex_mod, "_dual_iterations", trouble)
+    instr.reset()
+    faulted = solve_standard_form(form)
+    assert instr.get("recovery_slack_fallback") == 1
+    assert instr.get("recovery_refactorize") == 0
+    assert instr.get("warm_repair_stalls") == 0
+    assert cold_solves[0] == 1
+    assert faulted.status is SolveStatus.OPTIMAL
+    assert faulted.objective == pytest.approx(clean.objective, abs=1e-9)
+
+
+def test_equality_rows_keep_the_primal_cold_start(cold_solves):
+    instr.reset()
+    solution = solve_standard_form(_wide_cover_lp(equality_row=True))
+    assert solution.status is SolveStatus.OPTIMAL
+    assert instr.get("dual_pivots") == 0
+    assert cold_solves[0] == 1
