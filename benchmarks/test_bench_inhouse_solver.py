@@ -1,12 +1,14 @@
 """In-house solver benchmarks: the sparse revised simplex as the MILP engine.
 
 The figure benchmarks run on the default (HiGHS) backend, so they say
-nothing about the in-house solver.  These benchmarks mask SciPy
-availability, forcing branch and bound onto the sparse revised simplex with
-warm-started factorized bases, and rely on the conftest harness to persist
-pivot / dual-pivot / (re)factorization / canonicalization counts and peak
-stored nonzeros alongside the wall-times in ``BENCH_optim.json`` -- the
-numbers that make a sparse-vs-dense win attributable rather than anecdotal.
+nothing about the in-house solver.  These benchmarks ask for the in-house
+branch and bound, which solves every node LP on the sparse revised simplex
+with warm-started factorized bases (the Figure 7 sweep, which resolves
+``backend="auto"``, masks SciPy availability to get there), and rely on the
+conftest harness to persist pivot / dual-pivot / (re)factorization /
+canonicalization counts and peak stored nonzeros alongside the wall-times
+in ``BENCH_optim.json`` -- the numbers that make a sparse-vs-dense win
+attributable rather than anecdotal.
 
 Workloads mirror the PR 2 comparison table in ``ROADMAP.md`` (pop10,
 seed 0, setup cost 5x exploitation).  The full 132-traffic exact MILP takes
@@ -48,8 +50,7 @@ def _ppme_problem(n_traffics=None):
 
 
 def _solve_inhouse_ppme(problem):
-    with mock.patch.object(scipy_backend, "is_available", lambda: False):
-        return solve_ppme(problem, backend="branch-and-bound")
+    return solve_ppme(problem, backend="branch-and-bound")
 
 
 def test_bench_inhouse_ppme_milp_80(benchmark):
@@ -126,12 +127,9 @@ def test_gate_inhouse_ppme_time_limit(benchmark):
 
     def run():
         model, _x, _r, _delta = _build_ppme_model(problem)
-        with mock.patch.object(scipy_backend, "is_available", lambda: False):
-            start = time.perf_counter()
-            solution = model.solve(
-                backend="branch-and-bound", time_limit=_TIME_LIMIT_GATE_SECONDS
-            )
-            return solution, time.perf_counter() - start
+        start = time.perf_counter()
+        solution = model.solve(backend="branch-and-bound", time_limit=_TIME_LIMIT_GATE_SECONDS)
+        return solution, time.perf_counter() - start
 
     solution, elapsed = benchmark.pedantic(run, rounds=1, iterations=1)
     print(
@@ -194,11 +192,10 @@ def test_gate_inhouse_sweep_dual_pivots_per_solve(benchmark):
 
     def run():
         instr.reset()
-        with mock.patch.object(scipy_backend, "is_available", lambda: False):
-            return [
-                solve_ilp(PPMProblem(matrix, coverage=k), backend="branch-and-bound")
-                for k in (0.75, 0.90, 1.00)
-            ]
+        return [
+            solve_ilp(PPMProblem(matrix, coverage=k), backend="branch-and-bound")
+            for k in (0.75, 0.90, 1.00)
+        ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     dual_pivots, lp_solves = instr.get("dual_pivots"), instr.get("lp_solves")

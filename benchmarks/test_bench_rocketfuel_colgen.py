@@ -10,12 +10,12 @@ Internet demand (a few hundred "preferred pairs of high traffic" between a
 small set of hot endpoints, a long tail of mice flows) with the candidate
 monitors on the POP access links, and solves its root relaxation two ways:
 
-* **monolithic**: ``decomposition="off"`` -- the full lowering through the
-  FT + devex simplex, gated only on not regressing (``OPTIMAL`` within its
-  budget, or an honest ``TIME_LIMIT``);
-* **colgen**: ``decomposition="colgen"`` -- the restricted master seeded by
-  the LP2 heavy-hitter hints, pricing the 10^4-column universe in CSC
-  blocks.
+* **monolithic**: ``colgen._COLGEN_MIN_COLS`` patched out of reach -- the
+  full lowering through the FT + devex simplex, gated only on not
+  regressing (``OPTIMAL`` within its budget, or an honest ``TIME_LIMIT``);
+* **colgen**: what the in-house backends pick at this width -- the
+  restricted master seeded by the LP2 heavy-hitter hints, pricing the
+  10^4-column universe in CSC blocks.
 
 Gates: colgen must reach the HiGHS-cross-checked objective, keep its peak
 stored nonzeros (canonical master + LU factors + eta file, the
@@ -37,12 +37,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from unittest import mock
 
 import pytest
 
 from repro.optim import SolveStatus
 from repro.optim import instrumentation as instr
-from repro.optim import scipy_backend, simplex
+from repro.optim import colgen, scipy_backend, simplex
 from repro.passive.ilp import PPMSession
 from repro.passive.problem import PPMProblem
 from repro.topology import synthetic_rocketfuel
@@ -115,10 +116,9 @@ def test_gate_internet_scale_colgen(
     monkeypatch.setattr(simplex, "_SLACK_START_MIN_COLS", math.inf)
     instr.reset()
     start = time.perf_counter()
-    mono_session = PPMSession(
-        problem, backend="simplex", decomposition="off", time_limit=_MONO_TIME_LIMIT
-    )
-    mono_solution = mono_session._session.solve()
+    with mock.patch.object(colgen, "_COLGEN_MIN_COLS", math.inf):
+        mono_session = PPMSession(problem, backend="simplex", time_limit=_MONO_TIME_LIMIT)
+        mono_solution = mono_session._session.solve()
     mono_time = time.perf_counter() - start
     mono_counters = instr.snapshot()
     _bench_records["wall"]["internet_lp2[monolithic]"] = round(mono_time, 3)
@@ -132,7 +132,8 @@ def test_gate_internet_scale_colgen(
         assert mono_solution.objective == pytest.approx(_EXPECTED_OBJECTIVE, abs=1e-5)
 
     instr.reset()
-    colgen_session = PPMSession(problem, backend="simplex", decomposition="colgen")
+    colgen_session = PPMSession(problem, backend="simplex")
+    assert colgen.decomposes(colgen_session._session.form)
     start = time.perf_counter()
     solution = benchmark.pedantic(colgen_session._session.solve, rounds=1, iterations=1)
     colgen_time = time.perf_counter() - start
@@ -184,7 +185,7 @@ def test_gate_internet_scale_colgen(
     # basis with dual pivots.
     monkeypatch.undo()
     instr.reset()
-    default_session = PPMSession(problem, backend="simplex", decomposition="colgen")
+    default_session = PPMSession(problem, backend="simplex")
     start = time.perf_counter()
     default_solution = default_session._session.solve()
     default_time = time.perf_counter() - start

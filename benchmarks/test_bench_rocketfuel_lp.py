@@ -9,10 +9,11 @@ relaxation with the in-house simplex under two configurations:
 
 * **baseline**: dense product-form eta updates (the ``DenseEtaFactor`` test
   oracle of ``tests/test_optim_sparse.py``, patched in for ``_BasisFactor``)
-  and Dantzig pricing -- the numeric core as it stood before the
-  Forrest-Tomlin work, with a bounded iteration budget;
+  and Dantzig pricing (``simplex._DEVEX_MIN_COLS`` patched out of reach) --
+  the numeric core as it stood before the Forrest-Tomlin work, with a
+  bounded iteration budget;
 * **new**: sparse Forrest-Tomlin spike updates and devex/partial pricing
-  (the ``pricing="auto"`` resolution at this size).
+  (what the primal loop picks at this size).
 
 Both arms run the primal two-phase cold start the gate was calibrated on:
 the default all-slack dual start (``simplex._SLACK_START_MIN_COLS``) speeds
@@ -31,7 +32,7 @@ counters (``ft_updates``, ``spike_nnz_peak``, ``pricing_passes``,
 ``BENCH_optim.json`` under distinct names by the conftest harness.
 
 The default path, dual pivots from the all-slack basis, is gated on its
-counters by ``test_rocketfuel_root_relaxation_auto_resolves_to_devex``.
+counters by ``test_rocketfuel_root_relaxation_default_path``.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ def test_gate_rocketfuel_root_relaxation_speedup(
     instr.reset()
     start = time.perf_counter()
     base_status = "no-convergence"
-    with mock.patch.object(simplex, "_BasisFactor", DenseEtaFactor):
+    with mock.patch.object(simplex, "_BasisFactor", DenseEtaFactor), mock.patch.object(
+        simplex, "_DEVEX_MIN_COLS", math.inf
+    ):
         try:
-            base_solution = solve_standard_form(
-                form, pricing="dantzig", max_iter=_BASELINE_MAX_ITER
-            )
+            base_solution = solve_standard_form(form, max_iter=_BASELINE_MAX_ITER)
             base_status = base_solution.status.name
         except SolverError:
             pass
@@ -120,11 +121,10 @@ def test_gate_rocketfuel_root_relaxation_speedup(
     _bench_records["wall"]["rocketfuel_root_lp[dense-eta+dantzig]"] = round(base_time, 3)
     _bench_records["counters"]["rocketfuel_root_lp[dense-eta+dantzig]"] = base_counters
 
+    assert form.num_vars >= simplex._DEVEX_MIN_COLS
     instr.reset()
     start = time.perf_counter()
-    solution = benchmark.pedantic(
-        solve_standard_form, args=(form,), kwargs={"pricing": "devex"}, rounds=1, iterations=1
-    )
+    solution = benchmark.pedantic(solve_standard_form, args=(form,), rounds=1, iterations=1)
     new_time = time.perf_counter() - start
     new_counters = instr.snapshot()
     _bench_records["wall"]["rocketfuel_root_lp[ft+devex]"] = round(new_time, 3)
@@ -154,18 +154,17 @@ def test_gate_rocketfuel_root_relaxation_speedup(
     )
 
 
-def test_rocketfuel_root_relaxation_auto_resolves_to_devex(rocketfuel_root_form):
+def test_rocketfuel_root_relaxation_default_path(rocketfuel_root_form):
     """Counter gate on the default path: the all-slack dual start.
 
-    ``pricing="auto"`` resolves to devex at this size, which the primal
-    path pinned by the speedup gate above needs (Dantzig stalls there).  By
+    The primal loop prices with devex at this size, which the primal path
+    pinned by the speedup gate above needs (Dantzig stalls there).  By
     default, though, the cold solve starts from the all-slack basis, which
     is dual feasible because the LP's costs are non-negative, and dual
     pivots repair the violated coverage rows.  That path must finish within
     the work ceilings above, with no recovery rung.
     """
     form = rocketfuel_root_form
-    assert simplex._resolve_pricing("auto", form.num_vars) == "devex"
     instr.reset()
     solution = solve_standard_form(form)
     counters = instr.snapshot()

@@ -60,10 +60,6 @@ def _cmd_passive(args: argparse.Namespace) -> int:
         solver_options["time_limit"] = args.time_limit
     if args.fallback != "off":
         solver_options["fallback"] = args.fallback
-    if args.pricing != "auto":
-        solver_options["pricing"] = args.pricing
-    if args.decomposition != "auto":
-        solver_options["decomposition"] = args.decomposition
     ilp = solve_ilp(problem, **solver_options)
     print(f"ilp   : {ilp.num_devices} devices (coverage {ilp.coverage:.1%})")
     for link in ilp.monitored_links:
@@ -156,13 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fail over to another backend (then a greedy "
                               "heuristic) when the solver errors out "
                               "(default: off)")
-    passive.add_argument("--pricing", choices=("auto", "dantzig", "devex"), default="auto",
-                         help="simplex pricing rule for the in-house solver "
-                              "(default: auto -- devex on large bases)")
-    passive.add_argument("--decomposition", choices=("auto", "off", "colgen"), default="auto",
-                         help="restricted-master column generation for the "
-                              "placement LPs (default: auto -- colgen on "
-                              "large column universes)")
     passive.set_defaults(func=_cmd_passive)
 
     active = subparsers.add_parser("active", help="compute probes and place beacons")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
 
-from repro.optim import Model, lin_sum
+from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError
 
 
@@ -149,4 +149,4 @@ def exact_partial_cover(instance: PartialCoverInstance, backend: str = "auto") -
     )
     model.set_objective(lin_sum(x[label] for label in labels))
     solution = model.solve(backend=backend, raise_on_infeasible=True)
-    return [label for label in labels if solution.value(x[label].name) > 0.5]
+    return selected(solution, x)

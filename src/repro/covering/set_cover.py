@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.optim import Model, lin_sum
+from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError, InternalSolverError
 
 
@@ -143,7 +143,7 @@ def exact_set_cover(instance: SetCoverInstance, backend: str = "auto") -> List[H
         model.add_constr(lin_sum(x[label] for label in containing) >= 1, name=f"cover[{u}]")
     model.set_objective(lin_sum(instance.weights[label] * x[label] for label in labels))
     solution = model.solve(backend=backend, raise_on_infeasible=True)
-    return [label for label in labels if solution.value(x[label].name) > 0.5]
+    return selected(solution, x)
 
 
 def lp_rounding_set_cover(instance: SetCoverInstance, backend: str = "auto") -> List[Hashable]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.optim import Model, lin_sum
+from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError
 
 Edge = Tuple[Hashable, Hashable]
@@ -156,6 +156,5 @@ def exact_vertex_cover(instance: VertexCoverInstance, backend: str = "auto") -> 
     ``y_i = 0`` for vertices outside the allowed set.
     """
     model, y = build_vertex_cover_model(instance)
-    vertices = sorted(instance.vertices, key=repr)
     solution = model.solve(backend=backend, raise_on_infeasible=True)
-    return [v for v in vertices if solution.value(y[v].name) > 0.5]
+    return selected(solution, y)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.flows.min_cost_flow import FlowNetwork, successive_shortest_paths
-from repro.optim import Model, lin_sum
+from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError
 
 #: Identifier of a network link in the MECF instance (opaque, hashable).
@@ -208,13 +208,13 @@ def solve_mecf_exact(instance: MECFInstance, backend: str = "auto") -> MECFResul
     model.set_objective(lin_sum(x[e] for e in edges))
     solution = model.solve(backend=backend, raise_on_infeasible=True)
 
-    selected = [e for e in edges if solution.value(x[e].name) > 0.5]
+    chosen = selected(solution, x)
     assignment = {
         key: solution.value(var.name) for key, var in f.items() if solution.value(var.name) > 1e-9
     }
     return MECFResult(
-        selected_edges=selected,
-        monitored_volume=instance.monitored_volume(selected),
+        selected_edges=chosen,
+        monitored_volume=instance.monitored_volume(chosen),
         flow_assignment=assignment,
     )
 

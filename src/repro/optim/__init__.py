@@ -55,12 +55,13 @@ CPLEX plays in the original article:
   take a backend down, jump the deadline clock);
   completely inert -- a single module-flag check -- unless a test arms a
   :class:`~repro.optim.faultinject.FaultPlan`.
-* :mod:`repro.optim.colgen` -- restricted-master column generation
-  (``decomposition="auto"|"off"|"colgen"``): the master LP holds only the
-  active columns (and the rows they can violate), a pricing oracle computes
-  reduced costs over the full column universe in CSC blocks without
-  materializing inactive columns, and a Lagrangian dual bound drives early
-  termination and honest gap reporting.  Problem layers seed it through
+* :mod:`repro.optim.colgen` -- restricted-master column generation, which
+  the in-house backends switch to from 4,000 columns on: the master LP
+  holds only the active columns (and the rows they can violate), a pricing
+  oracle computes reduced costs over the full column universe in CSC
+  blocks without materializing inactive columns, and a Lagrangian dual
+  bound drives early termination and honest gap reporting.  Problem
+  layers seed it through
   :class:`~repro.optim.colgen.ColGenHints` (initial columns, expansion
   order, a dual-completion rule for dropped rows).
 
@@ -75,23 +76,20 @@ The revised simplex has two independent performance axes:
   costs O(nnz-of-spike) instead of O(m) per update.  The factor
   refactorizes when the spike count or the stored-nonzero budget is
   exhausted, whichever comes first.
-* **Pricing.**  The ``pricing`` solver option takes ``"auto"``
-  (default), ``"dantzig"`` or ``"devex"`` and threads through every
-  in-house path (simplex backend, branch-and-bound node LPs, the CLI
-  ``--pricing`` knob).  ``"dantzig"`` is full most-negative-reduced-cost
-  pricing -- fine for paper-sized instances.  ``"devex"`` maintains
-  devex reference-framework weights and prices in partial (block) scans
-  over the CSC columns, which is what converges on the massively
-  primal-degenerate coverage LPs at Rocketfuel size (Dantzig
-  deterministically stalls there).  ``"auto"`` resolves to devex at or
-  above 600 canonical columns.
-  Bland's rule remains the anti-cycling escape of last resort in every
-  mode, and primal-degenerate stalls escalate to the recovery ladder's
-  bound-shift rung rather than spinning.
+* **Pricing.**  The LP's size picks the primal entering rule on every
+  in-house path (simplex backend, branch-and-bound node LPs, column
+  generation masters); no option overrides it.  Below 600 canonical
+  columns it is Dantzig's full most-negative-reduced-cost pricing -- fine
+  for paper-sized instances.  From 600 columns on it is devex: devex
+  reference-framework weights with partial (block) scans over the CSC
+  columns, which is what converges on the massively primal-degenerate
+  coverage LPs at Rocketfuel size (Dantzig deterministically stalls
+  there).  Bland's rule remains the anti-cycling escape of last resort
+  under either rule, and primal-degenerate stalls escalate to the
+  recovery ladder's bound-shift rung rather than spinning.
 
 Solver options (``time_limit``, ``mip_gap``, ``max_iter``, ``max_nodes``,
-``gap_tol``, ``pricing``, ``decomposition``, ``fallback``) use one unified
-vocabulary; the
+``gap_tol``, ``fallback``, ...) use one unified vocabulary; the
 matrix of which backend honors which option lives in
 :data:`repro.optim.backend.BACKEND_OPTIONS`, and unknown option names raise
 :class:`~repro.optim.errors.SolverError`.  For parameterized experiments
@@ -152,7 +150,7 @@ from repro.optim.errors import (
     UnboundedError,
 )
 from repro.optim.model import Constraint, LinExpr, Model, Variable, lin_sum
-from repro.optim.solution import Degradation, Solution, SolveStatus
+from repro.optim.solution import Degradation, Solution, SolveStatus, selected
 from repro.optim.analysis import Diagnostic, analyze_form
 from repro.optim.backend import SolverSession, available_backends, solve_model
 from repro.optim.colgen import ColGenHints
@@ -185,5 +183,6 @@ __all__ = [
     "available_backends",
     "lin_sum",
     "presolve",
+    "selected",
     "solve_model",
 ]

@@ -30,9 +30,7 @@ Option              scipy     simplex    branch-and-bound
 ``presolve``        yes       yes        yes
 ``cuts``            --        --         yes
 ``max_cut_rounds``  --        --         yes
-``pricing``         ignored   yes        yes (node LPs)
 ``fallback``        yes       yes        yes
-``decomposition``   ignored   yes        yes
 ==================  ========  =========  ==================
 
 ``mip_gap`` is a *relative* optimality gap everywhere (HiGHS
@@ -40,11 +38,17 @@ Option              scipy     simplex    branch-and-bound
 absolute fathoming tolerance.  ``max_iter`` bounds simplex iterations, and on
 the branch-and-bound backend it is forwarded to every node LP solve.
 
-``pricing`` (``"auto"`` by default, ``"dantzig"`` | ``"devex"``) selects
-the in-house simplex entering rule (see :mod:`repro.optim.simplex`);
-unknown values raise ``ValueError`` at option-checking time.  HiGHS runs
-its own pricing, so the scipy backend accepts the option for portability
-but ignores it.
+No option picks the in-house algorithms; the size of the LP does.  The
+primal simplex prices with devex from
+:data:`repro.optim.simplex._DEVEX_MIN_COLS` canonical columns and with
+Dantzig's rule below (see :mod:`repro.optim.simplex`), and the in-house
+backends solve a lowered form by column generation from
+:data:`repro.optim.colgen._COLGEN_MIN_COLS` columns
+(:func:`repro.optim.colgen.decomposes`).  On a :class:`SolverSession` the
+column-generation path skips presolve on purpose (presolve reindexes
+columns, which would invalidate :class:`repro.optim.colgen.ColGenHints`
+indices and in-place patches) and keeps the active column set plus warm
+basis across re-solves.
 
 ``time_limit`` (seconds, positive and finite -- anything else raises
 ``ValueError`` at option-checking time) is turned into a single
@@ -58,9 +62,11 @@ budget returns the best incumbent found so far with the honest status
 failover: when the resolved backend raises :class:`SolverError` or returns
 an ``ERROR`` status, the dispatcher retries the same lowered form on the
 other solver family (``scipy`` <-> in-house), and as a last resort degrades
-to :func:`repro.optim.resilience.greedy_form_solve`.  A failed-over solution
-carries a :class:`repro.optim.solution.Degradation` record naming each hop,
-the weakened guarantee, and the error messages that forced it.
+to :func:`repro.optim.resilience.greedy_form_solve`.  Every hop enforces the
+integrality the primary did, so a failed-over ``simplex`` solve still
+answers the LP relaxation.  A failed-over solution carries a
+:class:`repro.optim.solution.Degradation` record naming each hop, the
+weakened guarantee, and the error messages that forced it.
 
 ``presolve`` (``"on"`` by default, ``"off"`` to disable) runs
 :func:`repro.optim.presolve.presolve` over the lowered form before any
@@ -69,17 +75,6 @@ reductions are applied exactly when the resolved backend will enforce
 integrality (i.e. not on the ``simplex`` backend, which solves the LP
 relaxation).  ``cuts`` (``"auto"``/``"off"``) and ``max_cut_rounds`` steer
 the branch-and-bound root cutting-plane loop (:mod:`repro.optim.cuts`).
-
-``decomposition`` (``"auto"`` by default, ``"off"`` | ``"colgen"``) selects
-the restricted-master / pricing column generation of
-:mod:`repro.optim.colgen` on the in-house backends.  ``"auto"`` engages
-column generation once the lowered form is wide enough to pay for it
-(:data:`repro.optim.colgen._COLGEN_MIN_COLS` columns); HiGHS runs its own
-algebra, so the scipy backend accepts the option for portability but
-ignores it.  On a :class:`SolverSession` the column-generation path skips
-presolve on purpose (presolve reindexes columns, which would invalidate
-:class:`repro.optim.colgen.ColGenHints` indices and in-place patches) and
-keeps the active column set plus warm basis across re-solves.
 
 ``check`` runs the pre-solve static analyzer
 (:mod:`repro.optim.analysis`) over the lowered :class:`StandardForm` before
@@ -140,9 +135,7 @@ BACKEND_OPTIONS: Dict[str, FrozenSet[str]] = {
             "max_iter",
             "check",
             "presolve",
-            "pricing",
             "fallback",
-            "decomposition",
         }
     ),
     "simplex": frozenset(
@@ -151,9 +144,7 @@ BACKEND_OPTIONS: Dict[str, FrozenSet[str]] = {
             "time_limit",
             "check",
             "presolve",
-            "pricing",
             "fallback",
-            "decomposition",
         }
     ),
     "branch-and-bound": frozenset(
@@ -167,9 +158,7 @@ BACKEND_OPTIONS: Dict[str, FrozenSet[str]] = {
             "presolve",
             "cuts",
             "max_cut_rounds",
-            "pricing",
             "fallback",
-            "decomposition",
         }
     ),
 }
@@ -232,16 +221,6 @@ def _check_options(backend: str, options: Dict[str, Any]) -> None:
             raise SolverError(
                 f"max_cut_rounds must be a non-negative integer, got {max_cut_rounds!r}"
             )
-    pricing = options.get("pricing")
-    if pricing is not None:
-        from repro.optim.simplex import _validate_pricing
-
-        _validate_pricing(pricing)
-    decomposition = options.get("decomposition")
-    if decomposition is not None:
-        from repro.optim.colgen import validate_decomposition
-
-        validate_decomposition(decomposition)
 
 
 def _pop_check_mode(options: Dict[str, Any]) -> str:
@@ -285,7 +264,12 @@ def _solve_form(
     path bypasses this function on purpose: presolve rebuilds the sparse
     matrices (dropping explicit zeros), which would invalidate the session's
     in-place coefficient patches and warm-start bases.
+
+    The ``simplex`` backend solves the LP relaxation, so integrality counts
+    only on the other backends: in presolve's integer reductions and in
+    every failover hop alike.
     """
+    is_mip = is_mip and backend != "simplex"
     options = dict(options)
     presolve_mode = _pop_presolve_mode(options)
     fallback_mode = _pop_fallback_mode(options)
@@ -299,9 +283,7 @@ def _solve_form(
 
     from repro.optim.presolve import presolve as run_presolve
 
-    reduced, post = run_presolve(
-        form, integer_aware=is_mip and backend != "simplex", deadline=deadline
-    )
+    reduced, post = run_presolve(form, integer_aware=is_mip, deadline=deadline)
     if reduced.proven_infeasible:
         return Solution(status=SolveStatus.INFEASIBLE, backend="presolve")
     if reduced.num_vars == 0:
@@ -345,30 +327,21 @@ def _dispatch_form(
             max_iter=options.get("max_iter"),
             time_limit=remaining,
         )
+    from repro.optim.colgen import decomposes, solve_form_colgen
+
+    if decomposes(form):
+        return solve_form_colgen(
+            form, is_mip=backend != "simplex", options=options, deadline=deadline
+        )
     if backend == "simplex":
-        from repro.optim.colgen import resolve_decomposition, solve_form_colgen
         from repro.optim.simplex import solve_standard_form
 
-        decomposition = resolve_decomposition(
-            options.get("decomposition", "auto"), form.num_vars
-        )
-        if decomposition == "colgen":
-            return solve_form_colgen(form, is_mip=False, options=options, deadline=deadline)
         return solve_standard_form(
-            form,
-            max_iter=options.get("max_iter", 100_000),
-            deadline=deadline,
-            pricing=options.get("pricing", "auto"),
+            form, max_iter=options.get("max_iter", 100_000), deadline=deadline
         )
     # branch-and-bound
     from repro.optim.branch_and_bound import solve_milp
-    from repro.optim.colgen import resolve_decomposition, solve_form_colgen
 
-    decomposition = resolve_decomposition(
-        options.get("decomposition", "auto"), form.num_vars
-    )
-    if decomposition == "colgen":
-        return solve_form_colgen(form, is_mip=True, options=options, deadline=deadline)
     return solve_milp(
         form,
         max_nodes=options.get("max_nodes", 100_000),
@@ -377,7 +350,6 @@ def _dispatch_form(
         max_iter=options.get("max_iter"),
         cuts=options.get("cuts", "auto"),
         max_cut_rounds=options.get("max_cut_rounds", 5),
-        pricing=options.get("pricing", "auto"),
         deadline=deadline,
     )
 
@@ -411,8 +383,8 @@ def _run_with_failover(
     the alternate backend does not honor are simply not read by its
     dispatch branch, so the merged option dict can ride along unchanged.
     ``failed`` is the error the primary backend already raised (a
-    :class:`SolverSession` warm simplex solve): the chain then starts at
-    its first hop instead of running the primary again.
+    :class:`SolverSession` re-solve on its kept state): the chain then
+    starts at its first hop instead of running the primary again.
     """
     from repro.optim import scipy_backend
 
@@ -552,12 +524,12 @@ class SolverSession:
         """Install model-specific column-generation hints for this session.
 
         The hints (initial columns, expansion order, dual completion -- see
-        :class:`repro.optim.colgen.ColGenHints`) are consumed when the
-        ``decomposition`` option resolves to ``"colgen"`` and are indexed
-        against this session's *unpresolved* lowered form, which is why the
-        session column-generation path never runs presolve.  Installing new
-        hints discards the current decomposition state (active columns and
-        warm basis); passing ``None`` clears them.
+        :class:`repro.optim.colgen.ColGenHints`) are consumed when the form
+        is wide enough to decompose (:func:`repro.optim.colgen.decomposes`)
+        and are indexed against this session's *unpresolved* lowered form,
+        which is why the session column-generation path never runs presolve.
+        Installing new hints discards the current decomposition state
+        (active columns and warm basis); passing ``None`` clears them.
         """
         self._colgen_hints = hints
         self._colgen = None
@@ -653,59 +625,82 @@ class SolverSession:
         return analysis.enforce(self.form, effective, label=self.model.name)
 
     # -- solving -----------------------------------------------------------
-    def _solve_colgen(self, merged: Dict[str, Any]) -> Solution:
-        """Session column-generation path (``decomposition`` -> ``"colgen"``).
+    def _solve_colgen(
+        self, merged: Dict[str, Any], is_mip: bool, deadline: Optional[Deadline]
+    ) -> Solution:
+        """Column-generation path: one driver kept across re-solves.
 
-        Bypasses presolve by design -- presolve reindexes columns, which
-        would break both the hint indices and the session's in-place
-        coefficient patches -- and keeps one
-        :class:`repro.optim.colgen.ColumnGeneration` driver alive so the
-        active column set and the master's warm basis survive re-solves.
-        With ``fallback="auto"`` a failed decomposition run retries
-        monolithically on the remaining time budget.
+        The :class:`repro.optim.colgen.ColumnGeneration` driver stays alive
+        so the active column set and the master's warm basis survive
+        re-solves; presolve is skipped because it reindexes columns, which
+        would break both the hint indices and the in-place patches.
         """
         from repro.optim.colgen import ColumnGeneration
 
-        merged = dict(merged)
-        merged.pop("decomposition", None)
-        _pop_presolve_mode(merged)
-        fallback_mode = _pop_fallback_mode(merged)
-        time_limit = merged.pop("time_limit", None)
-        deadline = Deadline(time_limit) if time_limit is not None else None
-        colgen_mip = self._is_mip and self.backend != "simplex"
         if self._colgen is None:
             self._colgen = ColumnGeneration(
                 self.form,
                 hints=self._colgen_hints,
-                is_mip=colgen_mip,
-                pricing=merged.get("pricing", "auto"),
+                is_mip=is_mip,
                 max_iter=merged.get("max_iter"),
             )
         else:
-            self._colgen.pricing = merged.get("pricing", "auto")
             self._colgen.max_iter = merged.get("max_iter")
         if self._coeffs_dirty:
             self._colgen.refresh_data()
         self._coeffs_dirty = False
+        if is_mip:
+            return self._colgen.solve_mip(deadline=deadline, mip_options=merged)
+        return self._colgen.solve_lp(deadline=deadline)
+
+    def _solve_warm(self, merged: Dict[str, Any], deadline: Optional[Deadline]) -> Solution:
+        """Warm simplex path: an LP re-solved from the previous optimal basis."""
+        from repro.optim.simplex import SimplexSolver
+
+        if self._simplex is None:
+            self._simplex = SimplexSolver(self.form)
+        if self._coeffs_dirty:
+            # Bounds, right-hand sides and objective coefficients are
+            # re-read by every solve; only matrix-coefficient patches
+            # require re-lowering the canonical arrays.
+            self._simplex.refresh()
+        self._coeffs_dirty = False
+        solution, token = self._simplex.solve(
+            warm_basis=self._basis, max_iter=merged.get("max_iter"), deadline=deadline
+        )
+        if token is not None:
+            # Solves that end without a factorized optimal basis
+            # (infeasible, unbounded, deadline) keep the previous
+            # warm-start token instead of clobbering it with None.
+            self._basis = token
+        return solution
+
+    def _solve_in_house(self, merged: Dict[str, Any], decompose: bool) -> Solution:
+        """Re-solve on the state the session keeps, failing over on error.
+
+        Both in-house paths patch the unpresolved form in place, so neither
+        runs presolve.  With ``fallback="auto"`` a failure hands the form to
+        the failover chain under the same deadline.  The chain only reads
+        the session's form, so the kept state (patched matrices, stored
+        basis, active columns) survives and a later solve() starts warm.
+        """
+        _pop_presolve_mode(merged)
+        fallback_mode = _pop_fallback_mode(merged)
+        time_limit = merged.pop("time_limit", None)
+        deadline = Deadline(time_limit) if time_limit is not None else None
+        is_mip = self._is_mip and self.backend != "simplex"
         try:
             if faultinject.ACTIVE:
                 faultinject.maybe_fail_backend(self.backend, SolverError)
-            if colgen_mip:
-                return self._colgen.solve_mip(deadline=deadline, mip_options=merged)
-            return self._colgen.solve_lp(deadline=deadline)
+            if decompose:
+                return self._solve_colgen(merged, is_mip, deadline)
+            return self._solve_warm(merged, deadline)
         except SolverError as exc:
             if fallback_mode != "auto":
                 raise
-            record_rung(
-                "failover",
-                f"column generation failed ({exc}); retrying monolithically",
+            return _run_with_failover(
+                self.form, is_mip, self.backend, merged, deadline, failed=exc
             )
-            retry = dict(merged)
-            retry["decomposition"] = "off"
-            retry["fallback"] = "auto"
-            if deadline is not None:
-                retry["time_limit"] = deadline.remaining_or_none()
-            return _solve_form(self.form, self._is_mip, self.backend, retry)
 
     def solve(self, raise_on_infeasible: bool = False, **options: Any) -> Solution:
         """Re-solve against the current (patched) matrices.
@@ -713,6 +708,8 @@ class SolverSession:
         ``options`` override the session-level defaults for this call only
         (the ``check`` mode included).
         """
+        from repro.optim.colgen import decomposes
+
         merged = dict(self.options)
         merged["check"] = self.check
         merged.update(options)
@@ -720,56 +717,10 @@ class SolverSession:
         check_mode = _pop_check_mode(merged)
         analysis.enforce(self.form, check_mode, label=self.model.name)
 
-        decomposition = "off"
-        if self.backend in ("simplex", "branch-and-bound"):
-            from repro.optim.colgen import resolve_decomposition
-
-            decomposition = resolve_decomposition(
-                merged.get("decomposition", "auto"), self.form.num_vars
-            )
-            merged["decomposition"] = decomposition
-
-        if decomposition == "colgen":
-            solution = self._solve_colgen(merged)
+        if self.backend != "scipy" and decomposes(self.form):
+            solution = self._solve_in_house(merged, decompose=True)
         elif self.backend == "simplex" and not self._is_mip:
-            from repro.optim.simplex import SimplexSolver
-
-            fallback_mode = _pop_fallback_mode(merged)
-            time_limit = merged.pop("time_limit", None)
-            deadline = Deadline(time_limit) if time_limit is not None else None
-            if self._simplex is None:
-                self._simplex = SimplexSolver(self.form)
-            self._simplex.pricing = merged.get("pricing", "auto")
-            if self._coeffs_dirty:
-                # Bounds, right-hand sides and objective coefficients are
-                # re-read by every solve; only matrix-coefficient patches
-                # require re-lowering the canonical arrays.
-                self._simplex.refresh()
-            self._coeffs_dirty = False
-            try:
-                if faultinject.ACTIVE:
-                    faultinject.maybe_fail_backend("simplex", SolverError)
-                solution, token = self._simplex.solve(
-                    warm_basis=self._basis,
-                    max_iter=merged.get("max_iter"),
-                    deadline=deadline,
-                )
-            except SolverError as exc:
-                if fallback_mode != "auto":
-                    raise
-                # The warm state (patched matrices, stored basis) is left
-                # exactly as it was: the failover chain only reads the
-                # session's form and never touches the simplex solver, so a
-                # later solve() can still warm-start normally.
-                solution = _run_with_failover(
-                    self.form, False, "simplex", merged, deadline, failed=exc
-                )
-            else:
-                if token is not None:
-                    # Solves that end without a factorized optimal basis
-                    # (infeasible, unbounded, deadline) keep the previous
-                    # warm-start token instead of clobbering it with None.
-                    self._basis = token
+            solution = self._solve_in_house(merged, decompose=False)
         else:
             solution = _solve_form(self.form, self._is_mip, self.backend, merged)
 

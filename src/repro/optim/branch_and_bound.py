@@ -1,6 +1,6 @@
 """Branch-and-bound driver for mixed-integer programs.
 
-The driver turns any LP-relaxation solver into an exact MILP solver: best-bound
+The driver turns the in-house LP simplex into an exact MILP solver: best-bound
 node selection, reliability (pseudocost) branching with strong-branching
 initialization, and rounding-based incumbent detection.  Branching quality is
 the dominant node-count lever on the paper's fixed-charge placements: their
@@ -12,12 +12,13 @@ bound -- the ones pseudocosts learn to rank first -- pay the full setup cost.
 The search is *incremental*: the :class:`~repro.optim.model.StandardForm` is
 lowered once, every node only carries its own ``lb``/``ub`` arrays, and the
 node LP solver receives those bounds directly (no per-node matrix rebuild).
-When the in-house sparse revised simplex is the node solver, the whole tree
-shares a single canonicalization and sparse structure (bounds are implicit
-data in the bounded-variable simplex, so per-node work is just bound
-patches), and each child warm-starts from its parent's factorized basis --
-typically a handful of dual simplex pivots repair the branching bound
-change, with no phase 1 and no re-canonicalization.
+Every node LP is solved by the in-house sparse revised simplex
+(:class:`~repro.optim.simplex.SimplexSolver`), so the whole tree shares a
+single canonicalization and sparse structure (bounds are implicit data in
+the bounded-variable simplex, so per-node work is just bound patches), and
+each child warm-starts from its parent's factorized basis -- typically a
+handful of dual simplex pivots repair the branching bound change, with no
+phase 1 and no re-canonicalization.
 
 The tree search is preceded by a *cut-and-branch* root loop (``cuts="auto"``,
 see :mod:`repro.optim.cuts`): up to ``max_cut_rounds`` rounds of cover and
@@ -67,7 +68,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,7 +83,7 @@ from repro.optim.cuts import (
 from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
-from repro.optim.simplex import SimplexSolver, WarmStart, _Basis, resolve_appended
+from repro.optim.simplex import SimplexSolver, _Basis, resolve_appended
 from repro.optim.solution import Solution, SolveStatus
 
 #: Tolerance under which a value is considered integral.
@@ -163,7 +164,7 @@ class _Node:
     order: int = field(compare=True)
     lb: np.ndarray = field(compare=False, default=None)
     ub: np.ndarray = field(compare=False, default=None)
-    warm_basis: object = field(compare=False, default=None)
+    warm_basis: Optional[_Basis] = field(compare=False, default=None)
     branch_var: int = field(compare=False, default=-1)
     branch_up: bool = field(compare=False, default=False)
     parent_cost: float = field(compare=False, default=math.nan)
@@ -238,89 +239,29 @@ def _feasibility_form(form: StandardForm, lb: np.ndarray, ub: np.ndarray) -> Sta
     )
 
 
-#: A node LP solver: ``(lb, ub, warm basis) -> (solution, basis)``.
-NodeSolver = Callable[[np.ndarray, np.ndarray, object], Tuple[Solution, object]]
-
-
-def _simplex_node_solver(session: SimplexSolver, deadline: Optional[Deadline]) -> NodeSolver:
-    """Node LPs solved in-house on ``session``, warm-started from a parent basis."""
-
-    def solve_simplex(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
-        """Solve one node LP in-house, warm-started from the parent basis."""
-        return session.solve(lb=lb, ub=ub, warm_basis=warm, deadline=deadline)
-
-    return solve_simplex
-
-
-def _make_node_solver(
-    form: StandardForm,
-    max_iter: Optional[int],
-    deadline: Optional[Deadline] = None,
-    pricing: str = "auto",
-) -> Tuple[NodeSolver, bool]:
-    """Build the per-node LP solver closure.
-
-    Two flavors, in order of preference: SciPy's HiGHS with direct bound
-    overrides, or the in-house :class:`~repro.optim.simplex.SimplexSolver`
-    with warm starts.  The flag says whether it is the in-house one, whose
-    bases the root cut loop migrates across its cut rounds.
-    """
-    from repro.optim import scipy_backend
-
-    if scipy_backend.is_available():
-        def solve_scipy(lb: np.ndarray, ub: np.ndarray, warm: object) -> Tuple[Solution, object]:
-            """Solve one node LP through HiGHS with the remaining deadline."""
-            remaining = deadline.remaining_or_none() if deadline is not None else None
-            return (
-                scipy_backend.solve_lp(form, lb=lb, ub=ub, max_iter=max_iter, time_limit=remaining),
-                None,
-            )
-
-        return solve_scipy, False
-
-    session = SimplexSolver(form, max_iter=max_iter or 100_000, pricing=pricing)
-    return _simplex_node_solver(session, deadline), True
-
-
 def _root_cut_loop(
     form: StandardForm,
     max_iter: Optional[int],
     deadline: Optional[Deadline],
-    pricing: str,
     max_cut_rounds: int,
-) -> Tuple[StandardForm, NodeSolver, Optional[_Basis]]:
+) -> Tuple[StandardForm, SimplexSolver, Optional[_Basis]]:
     """Cut-and-branch root loop: tighten the root relaxation before branching.
 
-    Each round separates implied-cardinality, cover and (on the in-house
-    simplex path) Gomory mixed-integer cuts against the root optimum,
-    appends them to ``A_ub`` and re-solves the root over the extended form.
-    On the in-house path only the first root solve is cold: every re-solve
-    goes through :func:`repro.optim.simplex.resolve_appended`, the step
-    column generation shares, which migrates the previous round's optimal
-    basis across the appended rows (each cut starts with its slack basic).
-    Returns the extended form, the node LP solver over it, and the root
-    node's warm basis (the last root optimum, without its factorization;
-    ``None`` off the in-house path).  Every cut is valid for the full
-    integer hull, so the tree search (including its rounding heuristic)
-    runs unchanged over the new form.
+    Each round separates implied-cardinality, cover and Gomory mixed-integer
+    cuts against the root optimum, appends them to ``A_ub`` and re-solves
+    the root over the extended form.  Only the first root solve is cold:
+    every re-solve goes through :func:`repro.optim.simplex.resolve_appended`,
+    the step column generation shares, which migrates the previous round's
+    optimal basis across the appended rows (each cut starts with its slack
+    basic).  Returns the extended form, the simplex session that solves the
+    node LPs over it, and the root node's warm basis (the last root optimum,
+    without its factorization; ``None`` when the root solve left no basis).
+    Every cut is valid for the full integer hull, so the tree search
+    (including its rounding heuristic) runs unchanged over the new form.
     """
-    node_solver, inhouse = _make_node_solver(form, max_iter, deadline, pricing)
     if deadline is not None and deadline.expired():
-        return form, node_solver, None
-
-    def solve_root(
-        form: StandardForm, warm: Optional[WarmStart]
-    ) -> Tuple[Solution, NodeSolver, Optional[WarmStart]]:
-        """Solve the root LP of ``form``, rewarmed from ``warm`` in-house."""
-        if not inhouse:
-            node_solver, _ = _make_node_solver(form, max_iter, deadline, pricing)
-            return node_solver(form.lb, form.ub, None)[0], node_solver, None
-        session, relax, warm = resolve_appended(
-            form, warm, max_iter=max_iter, pricing=pricing, deadline=deadline
-        )
-        return relax, _simplex_node_solver(session, deadline), warm
-
-    relax, node_solver, warm = solve_root(form, None)
+        return form, SimplexSolver(form, max_iter=max_iter or 100_000), None
+    session, relax, warm = resolve_appended(form, None, max_iter=max_iter, deadline=deadline)
     for _ in range(max_cut_rounds):
         if deadline is not None and deadline.expired():
             break  # whatever was separated so far still tightens the root
@@ -338,14 +279,14 @@ def _root_cut_loop(
             break
         form = append_cut_rows(form, new_cuts)
         instr.add("cuts_added", len(new_cuts))
-        relax, node_solver, warm = solve_root(form, warm)
+        session, relax, warm = resolve_appended(form, warm, max_iter=max_iter, deadline=deadline)
     if warm is None:
-        return form, node_solver, None
+        return form, session, None
     # The root node refactorizes the last root basis: every node of the tree
     # descends from the root's factor, and inheriting the cut rounds' update
     # file would make the whole tree refactorize sooner and keep more
     # factorizations alive.
-    return form, node_solver, replace(warm[0], factor=None)
+    return form, session, replace(warm[0], factor=None)
 
 
 def solve_milp(
@@ -357,7 +298,6 @@ def solve_milp(
     time_limit: Optional[float] = None,
     cuts: str = "auto",
     max_cut_rounds: int = 5,
-    pricing: str = "auto",
     deadline: Optional[Deadline] = None,
 ) -> Solution:
     """Solve a mixed-integer program by branch and bound.
@@ -366,11 +306,9 @@ def solve_milp(
     ----------
     form:
         Problem in standard (minimization) form.  Node LP relaxations are
-        solved by SciPy's HiGHS when importable (fast and numerically robust
-        on the larger placement relaxations) and by the in-house simplex
+        always solved by the in-house simplex
         (:class:`repro.optim.simplex.SimplexSolver`, with per-node warm
-        starts) otherwise; either way the branch-and-bound logic itself is
-        this module's.
+        starts), whether or not SciPy is importable.
     max_nodes:
         Safety limit on the number of explored nodes.  The limit is checked
         *before* a node is popped, so hitting it never discards an open node
@@ -397,11 +335,6 @@ def solve_milp(
         baseline).
     max_cut_rounds:
         Maximum number of root separation rounds under ``cuts="auto"``.
-    pricing:
-        Simplex pricing rule for the in-house node LP path
-        (``"auto"`` | ``"dantzig"`` | ``"devex"``, see
-        :mod:`repro.optim.simplex`); ignored when nodes are solved by
-        SciPy.
 
     Returns
     -------
@@ -421,11 +354,9 @@ def solve_milp(
     sign = -1.0 if form.maximize else 1.0
     root_warm: Optional[_Basis] = None
     if cuts == "auto" and np.any(np.asarray(form.integrality, dtype=bool)):
-        form, node_solver, root_warm = _root_cut_loop(
-            form, max_iter, deadline, pricing, max_cut_rounds
-        )
+        form, session, root_warm = _root_cut_loop(form, max_iter, deadline, max_cut_rounds)
     else:
-        node_solver, _ = _make_node_solver(form, max_iter, deadline, pricing=pricing)
+        session = SimplexSolver(form, max_iter=max_iter or 100_000)
 
     def relaxation_cost(solution: Solution) -> float:
         """LP objective in minimization sense (undo the model-sense flip)."""
@@ -459,7 +390,6 @@ def solve_milp(
             max_nodes=max(budget, 1),
             gap_tol=gap_tol,
             max_iter=max_iter,
-            pricing=pricing,
             deadline=deadline,
             cuts="off",  # a zero objective makes every fractional point uncuttable
         )
@@ -503,7 +433,9 @@ def solve_milp(
         nodes_explored += 1
         instr.add("bb_nodes")
 
-        relax, basis = node_solver(node.lb, node.ub, node.warm_basis)
+        relax, basis = session.solve(
+            lb=node.lb, ub=node.ub, warm_basis=node.warm_basis, deadline=deadline
+        )
         if relax.status is SolveStatus.INFEASIBLE:
             continue
         if relax.status is SolveStatus.UNBOUNDED:
@@ -528,15 +460,11 @@ def solve_milp(
             deadline_hit = True
             break
         if relax.status is not SolveStatus.OPTIMAL:
-            # A node LP that hit an iteration limit (or errored) proves
-            # nothing about its subtree; silently fathoming it could turn a
-            # feasible MILP into a reported INFEASIBLE or an unexplored
-            # subtree into a claimed OPTIMAL.  Fail loudly instead, matching
-            # the in-house node solver which raises on non-convergence.
-            raise SolverError(
-                f"node LP solve returned status {relax.status.value!r}; "
-                "raise max_iter/time_limit or use another backend"
-            )
+            # The simplex raises on non-convergence, so no other status is
+            # expected here; fathoming such a node could turn a feasible
+            # MILP into a reported INFEASIBLE or an unexplored subtree into
+            # a claimed OPTIMAL.
+            raise InternalSolverError(f"node LP solve returned status {relax.status.value!r}")
 
         cost = relaxation_cost(relax)
         if node.branch_var >= 0 and math.isfinite(node.parent_cost):
@@ -581,7 +509,7 @@ def solve_milp(
         # exact child bounds: an infeasible or above-cutoff side is fathomed
         # without ever becoming a node, and a surviving side enters the heap
         # with its true LP bound and its own repaired basis.
-        probe_results: Dict[int, List[Optional[Tuple[float, object]]]] = {}
+        probe_results: Dict[int, List[Optional[Tuple[float, Optional[_Basis]]]]] = {}
         if sb_budget > 0:
             centrality = np.argsort(np.abs(frac - 0.5), kind="stable")
             needs_init = [
@@ -592,7 +520,7 @@ def solve_milp(
                     break
                 floor_j = math.floor(x[j] + INT_TOL)
                 frac_j = x[j] - floor_j
-                outcomes: List[Optional[Tuple[float, object]]] = [None, None]
+                outcomes: List[Optional[Tuple[float, Optional[_Basis]]]] = [None, None]
                 for up in (False, True):
                     probe_lb, probe_ub = node.lb.copy(), node.ub.copy()
                     if up:
@@ -602,7 +530,9 @@ def solve_milp(
                     if probe_lb[j] > probe_ub[j]:
                         outcomes[int(up)] = (math.inf, None)  # empty side
                         continue
-                    child, child_basis = node_solver(probe_lb, probe_ub, basis)
+                    child, child_basis = session.solve(
+                        lb=probe_lb, ub=probe_ub, warm_basis=basis, deadline=deadline
+                    )
                     sb_budget -= 1
                     instr.add("strong_branch_probes")
                     if child.status is SolveStatus.INFEASIBLE:

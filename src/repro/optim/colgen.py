@@ -7,8 +7,8 @@ ROADMAP's target sizes (thousands of links, 10^4..10^5+ traffic pairs) that
 is the wrong shape: the paper's coverage LPs are solved by a small working
 set of columns, and the rest exist only to be priced out.
 
-This module implements the decomposition behind the ``decomposition``
-solver option:
+This module implements the decomposition the in-house backends switch to
+once a lowered form is wide enough (:func:`decomposes`):
 
 * **Restricted master.**  A :class:`~repro.optim.model.StandardForm` slice
   holding only the *active* columns and the *active* inequality rows.  A
@@ -82,21 +82,15 @@ from repro.optim.solution import Solution, SolveStatus
 from repro.optim.sparse import SparseMatrix
 
 __all__ = [
-    "DECOMPOSITION_MODES",
     "ColGenHints",
     "ColumnGeneration",
-    "resolve_decomposition",
+    "decomposes",
     "solve_form_colgen",
-    "validate_decomposition",
 ]
 
-#: Values accepted by the ``decomposition`` solver option.
-DECOMPOSITION_MODES = ("auto", "off", "colgen")
-
-#: Column count at which ``decomposition="auto"`` switches the in-house
-#: backends to column generation (mirrors the devex auto threshold: below
-#: this the monolithic lowering is small enough that decomposition overhead
-#: cannot pay for itself).
+#: Column count at which the in-house backends switch to column generation
+#: (mirrors the devex threshold: below this the monolithic lowering is
+#: small enough that decomposition overhead cannot pay for itself).
 _COLGEN_MIN_COLS = 4000
 
 #: Columns priced per ``rmatvec_range`` batch.
@@ -118,25 +112,13 @@ _MAX_ROUNDS = 200
 _EXPAND_CHUNK = 256
 
 
-def validate_decomposition(value: str) -> str:
-    """Validate a ``decomposition`` option value, returning it unchanged."""
-    if value not in DECOMPOSITION_MODES:
-        raise ValueError(
-            f"decomposition must be one of {DECOMPOSITION_MODES}, got {value!r}"
-        )
-    return value
+def decomposes(form: StandardForm) -> bool:
+    """Whether the in-house backends solve ``form`` by column generation.
 
-
-def resolve_decomposition(value: str, n_cols: int) -> str:
-    """Resolve ``"auto"`` to a concrete mode for an ``n_cols``-column form.
-
-    Explicit values pass through; ``"auto"`` switches to column generation
-    at :data:`_COLGEN_MIN_COLS` columns.
+    They do from :data:`_COLGEN_MIN_COLS` columns on; narrower forms are
+    solved monolithically.
     """
-    validate_decomposition(value)
-    if value != "auto":
-        return value
-    return "colgen" if n_cols >= _COLGEN_MIN_COLS else "off"
+    return form.num_vars >= _COLGEN_MIN_COLS
 
 
 @dataclass(frozen=True)
@@ -211,13 +193,11 @@ class ColumnGeneration:
         form: StandardForm,
         hints: Optional[ColGenHints] = None,
         is_mip: bool = False,
-        pricing: str = "auto",
         max_iter: Optional[int] = None,
     ) -> None:
         self.form = form
         self.hints = hints or ColGenHints()
         self.is_mip = is_mip
-        self.pricing = pricing
         self.max_iter = max_iter
         self._A_ub = form.A_ub
         self._A_eq = form.A_eq
@@ -417,7 +397,7 @@ class ColumnGeneration:
     ) -> Tuple[Solution, Optional[WarmStart]]:
         instr.add("master_resolves")
         _, solution, warm = resolve_appended(
-            master, self._warm, max_iter=self.max_iter, pricing=self.pricing, deadline=deadline
+            master, self._warm, max_iter=self.max_iter, deadline=deadline
         )
         self._iterations += solution.iterations
         if warm is not None:
@@ -753,7 +733,6 @@ class ColumnGeneration:
                 max_iter=opts.get("max_iter"),
                 cuts=opts.get("cuts", "auto"),
                 max_cut_rounds=opts.get("max_cut_rounds", 5),
-                pricing=opts.get("pricing", "auto"),
                 deadline=deadline,
             )
 
@@ -813,16 +792,12 @@ def solve_form_colgen(
     """One-shot column-generation solve of a lowered form.
 
     This is the entry point :mod:`repro.optim.backend` dispatches to when
-    the ``decomposition`` option resolves to ``"colgen"``; sessions keep a
+    :func:`decomposes` holds for the form; sessions keep a
     :class:`ColumnGeneration` instance instead, to preserve the active set
     and warm basis across re-solves.
     """
     driver = ColumnGeneration(
-        form,
-        hints=hints,
-        is_mip=is_mip,
-        pricing=str(options.get("pricing", "auto")),
-        max_iter=options.get("max_iter"),
+        form, hints=hints, is_mip=is_mip, max_iter=options.get("max_iter")
     )
     if is_mip:
         return driver.solve_mip(deadline=deadline, mip_options=options)

@@ -71,17 +71,10 @@ def _status_from_scipy(
 
 def solve_lp(
     form: StandardForm,
-    lb: Optional[np.ndarray] = None,
-    ub: Optional[np.ndarray] = None,
     max_iter: Optional[int] = None,
     time_limit: Optional[float] = None,
 ) -> Solution:
-    """Solve the continuous relaxation of ``form`` with HiGHS.
-
-    ``lb`` / ``ub`` override the form's variable bounds without rebuilding the
-    :class:`StandardForm`; branch and bound uses this to solve node
-    relaxations against the shared constraint matrices.
-    """
+    """Solve the continuous relaxation of ``form`` with HiGHS."""
     if not _HAVE_SCIPY:
         raise SolverError("scipy is not available; use the 'simplex' backend instead")
     options = {}
@@ -95,7 +88,7 @@ def solve_lp(
         b_ub=form.b_ub if form.b_ub.size else None,
         A_eq=form.A_eq.to_scipy() if form.A_eq.size else None,
         b_eq=form.b_eq if form.b_eq.size else None,
-        bounds=list(zip(form.lb if lb is None else lb, form.ub if ub is None else ub)),
+        bounds=list(zip(form.lb, form.ub)),
         method="highs",
         options=options or None,
     )

@@ -30,21 +30,20 @@ Per iteration the work is two triangular solves against the factorization
 (FTRAN/BTRAN), one sparse pricing pass and an O(m) state update -- never
 the O(m*n) full-tableau pivot of the previous implementation.
 
-Pricing is selected by the ``pricing`` option (``"auto"`` | ``"dantzig"``
-| ``"devex"``).  Dantzig's rule prices every column per iteration;
-``"devex"`` runs reference-framework devex pricing with *partial pricing*
-(cyclic candidate scans over contiguous column blocks, priced with
+The primal entering rule follows the LP's size.  Below
+:data:`_DEVEX_MIN_COLS` canonical columns Dantzig's rule prices every
+column per iteration; from there on the solver runs reference-framework
+devex pricing with *partial pricing* (cyclic candidate scans over
+contiguous column blocks, priced with
 :meth:`repro.optim.sparse.SparseMatrix.rmatvec_range`), approximating
 steepest-edge at a fraction of the cost on Rocketfuel-size bases.
-``"auto"`` resolves to devex at or above :data:`_DEVEX_MIN_COLS`
-canonical columns.
 Either way the solver switches to Bland's smallest-index rule after
 :data:`_STALL_LIMIT` consecutive degenerate pivots -- the anti-cycling
-escape stays the last rung regardless of pricing mode -- and a stall that
+escape stays the last rung regardless of pricing rule -- and a stall that
 survives even Bland (:data:`_STALL_ABORT` consecutive zero-step pivots, the
 signature of *primal* degeneracy, which no pricing or cost perturbation can
 cure) aborts with :class:`_DegenerateStall` so the recovery ladder's
-bound-shift rung can resolve it on slightly expanded bounds.  ``pricing``
+bound-shift rung can resolve it on slightly expanded bounds.  The size rule
 steers only this primal rule; the dual warm-repair loop picks its leaving
 row by devex *row* weights carried in the basis token, and its entering
 column by a full bounded ratio test (partial pricing is unsound there:
@@ -67,7 +66,6 @@ Options honored (see :func:`repro.optim.backend.solve_model`):
 
 ===============  ==========================================================
 ``max_iter``     Iteration limit applied to each simplex phase.
-``pricing``      ``"auto"`` (default) | ``"dantzig"`` | ``"devex"``.
 warm start       Via :meth:`SimplexSolver.solve` ``warm_basis=``; a basis
                  returned by a previous solve is re-factorized and repaired
                  with dual simplex pivots (or resumed directly when still
@@ -163,10 +161,7 @@ _SPLU_MIN_DIM = 60
 #: showing up in pivot-loop profiles.
 _DEADLINE_STRIDE = 32
 
-#: Valid values of the ``pricing`` solver option.
-PRICING_MODES = ("auto", "dantzig", "devex")
-
-#: ``pricing="auto"`` resolves to devex at or above this many canonical
+#: The primal loop prices with devex at or above this many canonical
 #: columns; below it a full Dantzig sweep is one cheap vector op and the
 #: devex bookkeeping does not pay for itself.  Aligned with
 #: :data:`_SHIFT_PROACTIVE_COLS`: from this size on the placement LPs are
@@ -181,21 +176,6 @@ _PARTIAL_BLOCK = 512
 #: (the reference framework has drifted too far to steer well).
 _DEVEX_RESET_LIMIT = 1e7
 
-
-def _validate_pricing(pricing: str) -> str:
-    """Validate a ``pricing`` option value, mirroring ``time_limit`` style."""
-    if pricing not in PRICING_MODES:
-        raise ValueError(
-            f"pricing must be one of {PRICING_MODES}, got {pricing!r}"
-        )
-    return pricing
-
-
-def _resolve_pricing(pricing: str, n_cols: int) -> str:
-    """Resolve ``"auto"`` to a concrete rule for an ``n_cols``-column LP."""
-    if pricing == "auto":
-        return "devex" if n_cols >= _DEVEX_MIN_COLS else "dantzig"
-    return pricing
 
 try:  # pragma: no cover - exercised implicitly via _BasisFactor
     from scipy.sparse import csc_matrix as _scipy_csc
@@ -762,7 +742,6 @@ def _primal_iterations(
     max_iter: int,
     deadline: Optional[Deadline] = None,
     bland: bool = False,
-    pricing: str = "dantzig",
 ) -> Tuple[str, int]:
     """Bounded-variable primal revised simplex.
 
@@ -772,8 +751,8 @@ def _primal_iterations(
     improves the objective in the direction their bound allows; the ratio
     test accounts for both bounds of every basic variable and for the
     entering variable's own opposite bound (a "bound flip", which costs no
-    basis change at all).  ``pricing`` selects the entering rule
-    (``"dantzig"`` or ``"devex"``, already resolved from ``"auto"``);
+    basis change at all).  The entering rule is devex at or above
+    :data:`_DEVEX_MIN_COLS` canonical columns and Dantzig below;
     ``bland=True`` forces Bland's anti-cycling rule from the first pivot --
     the recovery ladder's answer to numerical cycling, and the same full
     Bland sweep takes over either rule after :data:`_STALL_LIMIT`
@@ -782,7 +761,7 @@ def _primal_iterations(
     lp = state.lp
     A, m, n_cols = lp.A, lp.m, lp.n
     movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
-    pricer = _DevexPricer(n_cols) if (pricing == "devex" and not bland) else None
+    pricer = _DevexPricer(n_cols) if (n_cols >= _DEVEX_MIN_COLS and not bland) else None
     iterations = 0
     stalled = _STALL_LIMIT if bland else 0
     y: Optional[np.ndarray] = None  # dual prices; None = must recompute
@@ -1104,14 +1083,11 @@ def _finish_primal(
     dual_iters: int,
     deadline: Optional[Deadline] = None,
     bland: bool = False,
-    pricing: str = "dantzig",
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Run phase-2 primal pivots and package the result tuple."""
     lp = state.lp
     costs = np.concatenate((lp.c, np.zeros(lp.m)))
-    status, iters = _primal_iterations(
-        state, costs, max_iter, deadline=deadline, bland=bland, pricing=pricing
-    )
+    status, iters = _primal_iterations(state, costs, max_iter, deadline=deadline, bland=bland)
     total = dual_iters + iters
     if status in ("unbounded", "deadline"):
         return status, None, total, None
@@ -1133,7 +1109,6 @@ def _cold_solve(
     max_iter: int,
     deadline: Optional[Deadline] = None,
     bland: bool = False,
-    pricing: str = "dantzig",
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Two-phase solve from a crash basis of slacks and signed artificials."""
     m, n_cols = lp.m, lp.n
@@ -1180,7 +1155,7 @@ def _cold_solve(
         unused_arts = n_cols + slack_rows
         upper_ext[unused_arts] = 0.0
         status, phase1_iters = _primal_iterations(
-            state, costs1, max_iter, deadline=deadline, bland=bland, pricing=pricing
+            state, costs1, max_iter, deadline=deadline, bland=bland
         )
         if status == "deadline":
             return "deadline", None, phase1_iters, None
@@ -1194,9 +1169,7 @@ def _cold_solve(
         upper_ext[n_cols:] = 0.0
         state.xB[art_basic] = 0.0
 
-    return _finish_primal(
-        state, max_iter, phase1_iters, deadline=deadline, bland=bland, pricing=pricing
-    )
+    return _finish_primal(state, max_iter, phase1_iters, deadline=deadline, bland=bland)
 
 
 def _warm_solve(
@@ -1205,7 +1178,6 @@ def _warm_solve(
     max_iter: int,
     deadline: Optional[Deadline] = None,
     fresh_factor: bool = False,
-    pricing: str = "dantzig",
     stall_rung: str = "warm-stall",
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Resume from a previous basis; ``None`` means fall back to a cold solve.
@@ -1286,7 +1258,7 @@ def _warm_solve(
     primal_ok = bool(np.all(state.xB >= lB - _WARM_FEAS_TOL) and np.all(state.xB <= uB + _WARM_FEAS_TOL))
     if primal_ok:
         np.clip(state.xB, lB, uB, out=state.xB)
-        return _finish_primal(state, max_iter, 0, deadline=deadline, pricing=pricing)
+        return _finish_primal(state, max_iter, 0, deadline=deadline)
 
     costs = np.concatenate((lp.c, np.zeros(m)))
     y = state.factor.btran(costs[basis])
@@ -1317,7 +1289,7 @@ def _warm_solve(
             "falling back to a cold two-phase solve",
         )
         return None
-    return _finish_primal(state, max_iter, dual_iters, deadline=deadline, pricing=pricing)
+    return _finish_primal(state, max_iter, dual_iters, deadline=deadline)
 
 
 def extend_warm_basis(
@@ -1441,7 +1413,6 @@ def _perturbed_solve(
     lp: _CanonicalLP,
     max_iter: int,
     deadline: Optional[Deadline],
-    pricing: str = "dantzig",
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Cold solve under deterministically perturbed costs, then unperturb.
 
@@ -1458,7 +1429,7 @@ def _perturbed_solve(
     jitter = 1e-7 * (1.0 + np.abs(saved_c)) * rng.random(saved_c.shape)
     lp.c = saved_c + jitter
     try:
-        result = _cold_solve(lp, max_iter, deadline=deadline, pricing=pricing)
+        result = _cold_solve(lp, max_iter, deadline=deadline)
     finally:
         lp.c = saved_c
     status, _y, iters, token = result
@@ -1467,7 +1438,7 @@ def _perturbed_solve(
     if status != "optimal" or token is None:
         # "unbounded" under jittered costs is not proof for the true costs.
         return None
-    cleanup = _warm_solve(lp, token, max_iter, deadline=deadline, pricing=pricing)
+    cleanup = _warm_solve(lp, token, max_iter, deadline=deadline)
     return cleanup
 
 
@@ -1475,7 +1446,6 @@ def _bound_shifted_solve(
     lp: _CanonicalLP,
     max_iter: int,
     deadline: Optional[Deadline],
-    pricing: str = "dantzig",
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Cold solve under deterministically *expanded* bounds, then repair.
 
@@ -1499,7 +1469,7 @@ def _bound_shifted_solve(
     upper = np.where(np.isfinite(saved_upper), saved_upper + up_shift, saved_upper)
     lp.lower, lp.upper = lower, upper
     try:
-        result = _cold_solve(lp, max_iter, deadline=deadline, pricing=pricing)
+        result = _cold_solve(lp, max_iter, deadline=deadline)
     finally:
         lp.lower, lp.upper = saved_lower, saved_upper
     status, _y, iters, token = result
@@ -1507,14 +1477,13 @@ def _bound_shifted_solve(
         return result
     if status != "optimal" or token is None:
         return None
-    return _warm_solve(lp, token, max_iter, deadline=deadline, pricing=pricing)
+    return _warm_solve(lp, token, max_iter, deadline=deadline)
 
 
 def _cold_solve_resilient(
     lp: _CanonicalLP,
     max_iter: int,
     deadline: Optional[Deadline],
-    pricing: str = "dantzig",
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Cold solve wrapped in the numerical-recovery ladder.
 
@@ -1534,7 +1503,7 @@ def _cold_solve_resilient(
     """
     if lp.n >= _SHIFT_PROACTIVE_COLS:
         try:
-            result = _bound_shifted_solve(lp, max_iter, deadline, pricing=pricing)
+            result = _bound_shifted_solve(lp, max_iter, deadline)
             if result is not None:
                 return result
             failure: _NumericalTrouble = _NumericalTrouble(
@@ -1548,7 +1517,7 @@ def _cold_solve_resilient(
             "retrying on the exact bounds",
         )
     try:
-        return _cold_solve(lp, max_iter, deadline=deadline, pricing=pricing)
+        return _cold_solve(lp, max_iter, deadline=deadline)
     except _DegenerateStall as exc:
         # Cost jitter cannot remove zero-length steps; jump straight to
         # the bound-shift rung.
@@ -1557,14 +1526,14 @@ def _cold_solve_resilient(
         failure = exc
         record_rung("perturb", f"cold solve failed ({failure}); retrying with perturbed costs")
         try:
-            result = _perturbed_solve(lp, max_iter, deadline, pricing=pricing)
+            result = _perturbed_solve(lp, max_iter, deadline)
             if result is not None:
                 return result
         except _NumericalTrouble as exc2:
             failure = exc2
     record_rung("bound-shift", f"cold solve failed ({failure}); retrying with shifted bounds")
     try:
-        result = _bound_shifted_solve(lp, max_iter, deadline, pricing=pricing)
+        result = _bound_shifted_solve(lp, max_iter, deadline)
         if result is not None:
             return result
     except _NumericalTrouble as exc:
@@ -1595,14 +1564,9 @@ class SimplexSolver:
     basis whenever one is supplied.
     """
 
-    def __init__(
-        self, form: StandardForm, max_iter: int = 100_000, pricing: str = "auto"
-    ) -> None:
+    def __init__(self, form: StandardForm, max_iter: int = 100_000) -> None:
         self.form = form
         self.max_iter = max_iter
-        #: Pricing rule for subsequent solves; mutable so a session can
-        #: change it between solves without re-canonicalizing.
-        self.pricing = _validate_pricing(pricing)
         self._lp: Optional[_CanonicalLP] = None
 
     def refresh(self) -> None:
@@ -1656,12 +1620,11 @@ class SimplexSolver:
         ub = self.form.ub if ub is None else np.asarray(ub, dtype=float)
         limit = self.max_iter if max_iter is None else max_iter
         lp = self._ensure_canonical(lb, ub)
-        pricing = _resolve_pricing(_validate_pricing(self.pricing), lp.n)
 
         result = None
         if _basis_compatible(warm_basis, lp):
             try:
-                result = _warm_solve(lp, warm_basis, limit, deadline=deadline, pricing=pricing)
+                result = _warm_solve(lp, warm_basis, limit, deadline=deadline)
             except _NumericalTrouble as exc:
                 record_rung(
                     "refactorize",
@@ -1670,8 +1633,7 @@ class SimplexSolver:
                 )
                 try:
                     result = _warm_solve(
-                        lp, warm_basis, limit, deadline=deadline, fresh_factor=True,
-                        pricing=pricing,
+                        lp, warm_basis, limit, deadline=deadline, fresh_factor=True
                     )
                 except _NumericalTrouble:
                     result = None
@@ -1679,11 +1641,11 @@ class SimplexSolver:
             # The slack basis is factorized from scratch: no refactorize retry.
             slack = _slack_basis(lp)
             try:
-                result = _warm_solve(lp, slack, limit, deadline, pricing=pricing, stall_rung="slack-fallback")
+                result = _warm_solve(lp, slack, limit, deadline, stall_rung="slack-fallback")
             except _NumericalTrouble as exc:
                 record_rung("slack-fallback", f"all-slack dual start failed ({exc}); solving cold")
         if result is None:
-            result = _cold_solve_resilient(lp, limit, deadline, pricing=pricing)
+            result = _cold_solve_resilient(lp, limit, deadline)
         status, y, iterations, token = result
         instr.add("lp_solves")
         solution = _solution_from_canonical(self.form, lp, status, y, iterations)
@@ -1705,7 +1667,6 @@ def resolve_appended(
     form: StandardForm,
     previous: Optional[WarmStart],
     max_iter: Optional[int] = None,
-    pricing: str = "auto",
     deadline: Optional[Deadline] = None,
 ) -> Tuple[SimplexSolver, Solution, Optional[WarmStart]]:
     """Re-lower a form grown by appends, migrate the old basis onto it, solve.
@@ -1721,7 +1682,7 @@ def resolve_appended(
     reuse, the solution, and the warm start for the next append (``None``
     when the solve produced no basis).
     """
-    solver = SimplexSolver(form, max_iter=max_iter or 100_000, pricing=pricing)
+    solver = SimplexSolver(form, max_iter=max_iter or 100_000)
     lp = solver._ensure_canonical(form.lb, form.ub)
     warm = None if previous is None else extend_warm_basis(previous[0], previous[1], lp)
     solution, token = solver.solve(warm_basis=warm, deadline=deadline)
@@ -1732,14 +1693,11 @@ def solve_standard_form(
     form: StandardForm,
     max_iter: int = 100_000,
     deadline: Optional[Deadline] = None,
-    pricing: str = "auto",
 ) -> Solution:
     """Solve the LP relaxation of a :class:`StandardForm` with the simplex.
 
     Integrality markers are ignored; use
     :func:`repro.optim.branch_and_bound.solve_milp` for exact integer solves.
     """
-    solution, _ = SimplexSolver(form, max_iter=max_iter, pricing=pricing).solve(
-        deadline=deadline
-    )
+    solution, _ = SimplexSolver(form, max_iter=max_iter).solve(deadline=deadline)
     return solution

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.optim.errors import NoIncumbentError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only
     from repro.optim._types import FloatArray
+    from repro.optim.model import Variable
+
+_K = TypeVar("_K")
 
 
 class SolveStatus(enum.Enum):
@@ -159,3 +162,13 @@ class Solution:
             f"Solution(status={self.status.value!r}, objective={obj}, "
             f"nvars={len(self.values)}, backend={self.backend!r})"
         )
+
+
+def selected(solution: Solution, variables: Mapping[_K, "Variable"]) -> List[_K]:
+    """Keys of ``variables`` whose binary is on (above 0.5) in ``solution``.
+
+    Keys come back in the mapping's order.  Raises :class:`NoIncumbentError`
+    when the solve produced no point.
+    """
+    point = solution.point()
+    return [key for key, var in variables.items() if point[var.name] > 0.5]

@@ -46,7 +46,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.flows.mecf import solve_mecf_exact
-from repro.optim import Model, lin_sum
+from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError
 from repro.passive.problem import PPMProblem, PlacementResult
 from repro.topology.pop import LinkKey, link_key
@@ -296,9 +296,9 @@ class PPMSession:
         self.model = model
         self._session = model.session(backend=backend, **solver_options)
         # Column-generation hints ride along on every session; they are
-        # consumed only when the solver's ``decomposition`` option resolves
-        # to "colgen" (Internet-scale instances), and cost one pass over
-        # the traffic to build.
+        # consumed only when the in-house solver decomposes the form
+        # (Internet-scale instances), and cost one pass over the traffic to
+        # build.
         self._session.set_colgen_hints(_lp2_colgen_hints(problem, self._session.form))
 
     @property
@@ -342,11 +342,11 @@ class PPMSession:
             "budget", len(self.links) if max_devices is None else max_devices
         )
         solution = session.solve(raise_on_infeasible=True)
-        selected = [l for l in self.links if solution.value(self._x[l].name) > 0.5]
+        chosen = selected(solution, self._x)
         return self.problem.make_result(
-            selected,
+            chosen,
             method="ilp",
-            objective=len(selected),
+            objective=len(chosen),
             fixed_links=fixed,
         )
 
@@ -496,9 +496,8 @@ def solve_max_coverage(
     model.set_objective(lin_sum(t.volume * delta[t.traffic_id] for t in problem.traffic))
     solution = model.solve(backend=backend, raise_on_infeasible=True)
 
-    selected = [l for l in links if solution.value(x[l].name) > 0.5]
     return problem.make_result(
-        selected,
+        selected(solution, x),
         method="ilp-max-coverage",
         objective=solution.objective,
         fixed_links=fixed,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from repro.optim import Model, lin_sum
+from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError
 from repro.passive.costs import LinkCostModel, uniform_costs
 from repro.topology.pop import LinkKey, link_key
@@ -228,7 +228,7 @@ def _extract_placement(
 ) -> SamplingPlacement:
     paths = problem.paths()
     costs = problem.costs
-    monitored = [l for l in x if model.value(x[l]) > 0.5]
+    monitored = selected(model.solution, x)
     rates = {l: model.value(r[l]) for l in r if model.value(r[l]) > 1e-9}
     fractions = {p: model.value(delta[p]) for p in delta}
 

@@ -30,14 +30,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["passive", "--preset", "pop1000"])
 
-    def test_passive_pricing_knob(self):
-        args = build_parser().parse_args(["passive", "--pricing", "devex"])
-        assert args.pricing == "devex"
-        assert build_parser().parse_args(["passive"]).pricing == "auto"
-
-    def test_passive_rejects_unknown_pricing(self):
+    @pytest.mark.parametrize("flag", [["--pricing", "devex"], ["--decomposition", "colgen"]])
+    def test_passive_rejects_retired_solver_flags(self, flag):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["passive", "--pricing", "steepest-edge"])
+            build_parser().parse_args(["passive", *flag])
 
     def test_lint_model_defaults(self):
         args = build_parser().parse_args(["lint-model"])
@@ -55,26 +51,6 @@ class TestCommands:
         assert main(["passive", "--preset", "pop10", "--coverage", "0.85", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "greedy:" in out
-        assert "ilp" in out
-
-    def test_passive_command_runs_with_devex_pricing(self, capsys):
-        assert (
-            main(
-                [
-                    "passive",
-                    "--preset",
-                    "pop10",
-                    "--coverage",
-                    "0.85",
-                    "--seed",
-                    "1",
-                    "--pricing",
-                    "devex",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
         assert "ilp" in out
 
     def test_active_command_runs(self, capsys):

@@ -53,9 +53,9 @@ class TestRealTree:
 
 class TestDoctoredTree:
     def test_undocumented_option_fails(self, tmp_path):
-        docs = _doctored_docs(tmp_path, "solver-options.md", "decomposition")
+        docs = _doctored_docs(tmp_path, "solver-options.md", "fallback")
         findings = check_docs(docs)
-        assert any("`decomposition`" in f for f in findings)
+        assert any("`fallback`" in f for f in findings)
         assert main(["--docs-dir", str(docs)]) == 1
 
     def test_undocumented_counter_fails(self, tmp_path):

@@ -4,8 +4,8 @@ The load-bearing assertion throughout is *exactness*: a decomposed solve
 must return the same status and (at tolerance) the same objective as the
 monolithic solve of the identical form -- on random LPs, random MILPs, the
 LP2 placement lowering, and under injected pricing faults.  Warm-basis
-survival across column appends and the option plumbing
-(``decomposition=``, hints) are covered alongside.
+survival across column appends, the width threshold that switches the
+in-house backends to column generation, and hints are covered alongside.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.optim import (
     SolveStatus,
     lin_sum,
 )
-from repro.optim import colgen, faultinject
+from repro.optim import colgen, faultinject, scipy_backend
 from repro.optim import instrumentation as instr
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import SolverError
@@ -42,30 +42,27 @@ def _clean_counters():
     instr.reset()
 
 
+@pytest.fixture
+def decompose(monkeypatch):
+    """Make the in-house backends decompose forms of every width."""
+    monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", 0)
+
+
 # ---------------------------------------------------------------------------
-# Option plumbing
+# When the in-house backends decompose
 # ---------------------------------------------------------------------------
 
 
-class TestDecompositionOption:
-    def test_validate_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="decomposition"):
-            colgen.validate_decomposition("sifting")
-
-    def test_validate_passes_known_modes(self):
-        for mode in colgen.DECOMPOSITION_MODES:
-            assert colgen.validate_decomposition(mode) == mode
-
-    def test_explicit_value_wins(self):
-        assert colgen.resolve_decomposition("colgen", 2) == "colgen"
-        assert colgen.resolve_decomposition("off", 10**6) == "off"
-
-    def test_auto_threshold(self):
-        assert colgen.resolve_decomposition("auto", colgen._COLGEN_MIN_COLS) == "colgen"
-        assert colgen.resolve_decomposition("auto", colgen._COLGEN_MIN_COLS - 1) == "off"
+class TestDecompositionThreshold:
+    def test_width_threshold(self, monkeypatch):
+        form = _lp_model().to_standard_form()
+        monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", form.num_vars)
+        assert colgen.decomposes(form)
+        monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", form.num_vars + 1)
+        assert not colgen.decomposes(form)
 
     @pytest.mark.parametrize("rounds", ["x", -1])
-    def test_session_colgen_path_rejects_bad_max_cut_rounds(self, rounds):
+    def test_session_colgen_path_rejects_bad_max_cut_rounds(self, rounds, decompose):
         """The session column-generation path never reaches the one-shot
         dispatcher, so the option check must sit where every entry point
         passes: at construction and on a per-solve override alike."""
@@ -74,21 +71,15 @@ class TestDecompositionOption:
         m.add_constr(lin_sum(2 * z for z in zs) >= 3, "cover")  # fractional root
         m.set_objective(lin_sum(zs))
         with pytest.raises(SolverError, match="max_cut_rounds"):
-            m.session(
-                backend="branch-and-bound", decomposition="colgen", max_cut_rounds=rounds
-            ).solve()
-        session = m.session(backend="branch-and-bound", decomposition="colgen")
+            m.session(backend="branch-and-bound", max_cut_rounds=rounds).solve()
+        session = m.session(backend="branch-and-bound")
         with pytest.raises(SolverError, match="max_cut_rounds"):
             session.solve(max_cut_rounds=rounds)
         assert session.solve().objective == pytest.approx(2.0)
+        assert session._colgen is not None
 
-    def test_backend_rejects_bad_decomposition(self):
-        m = _lp_model()
-        with pytest.raises(ValueError, match="decomposition"):
-            m.solve(backend="simplex", decomposition="bogus")
-
-    def test_model_solve_with_explicit_colgen(self):
-        sol = _lp_model().solve(backend="simplex", decomposition="colgen")
+    def test_model_solve_decomposes_past_the_threshold(self, decompose):
+        sol = _lp_model().solve(backend="simplex")
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(7.0, abs=TOL)
         assert instr.snapshot()["colgen_rounds"] >= 1
@@ -276,14 +267,14 @@ class TestHintsAndWarmBases:
         assert snap["master_resolves"] >= 2, "expected a multi-round run"
         assert engine._warm is not None, "warm basis token was not retained"
 
-    def test_session_resolve_reuses_colgen_state(self):
+    def test_session_resolve_reuses_colgen_state(self, decompose):
         m = Model("colgen-session")
         x = m.add_var("x")
         y = m.add_var("y")
         m.add_constr(x + y >= 3, "cover")
         m.add_constr(2 * x + y >= 4, "capacity")
         m.set_objective(3 * x + 2 * y)
-        session = m.session(backend="simplex", decomposition="colgen")
+        session = m.session(backend="simplex")
         first = session.solve()
         assert first.status is SolveStatus.OPTIMAL
         assert first.objective == pytest.approx(7.0, abs=TOL)
@@ -322,11 +313,42 @@ class TestCorruptPricingRecovery:
                 colgen.solve_form_colgen(form, is_mip=False, options={})
         assert armed.fired["pricing"] == 2
 
-    def test_session_fallback_rescues_poisoned_pricing(self):
-        m = _lp_model()
-        plan = FaultPlan(corrupt_pricing=(1, 2))
-        with faultinject.inject(plan):
-            sol = m.solve(backend="simplex", decomposition="colgen", fallback="auto")
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(7.0, abs=TOL)
+    @pytest.fixture(params=["as-installed", "scipy-masked"])
+    def failover_chain(self, request, monkeypatch):
+        """Run each failover test on the installed chain and once more with
+        SciPy masked, so the greedy hop is reached wherever HiGHS is too."""
+        if request.param == "scipy-masked":
+            monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+
+    @staticmethod
+    def _assert_failed_over(sol):
+        """HiGHS answers the poisoned solve; without SciPy, greedy does."""
         assert sol.degradation is not None
+        if scipy_backend.is_available():
+            assert sol.status is SolveStatus.OPTIMAL
+            assert sol.objective == pytest.approx(7.0, abs=TOL)
+            assert sol.degradation.rungs == ("simplex->scipy",)
+        else:
+            assert sol.status is SolveStatus.FEASIBLE
+            assert sol.degradation.rungs == ("simplex->greedy",)
+
+    def test_fallback_rescues_poisoned_pricing(self, decompose, failover_chain):
+        with faultinject.inject(FaultPlan(corrupt_pricing=(1, 2))):
+            sol = _lp_model().solve(backend="simplex", fallback="auto")
+        self._assert_failed_over(sol)
+
+    def test_session_fallback_keeps_colgen_state(self, decompose, failover_chain):
+        # The session's column-generation path fails over through the same
+        # chain as a one-shot solve, under the session's one deadline, and
+        # keeps its driver for the next (clean) solve.
+        session = _lp_model().session(backend="simplex", fallback="auto")
+        with faultinject.inject(FaultPlan(corrupt_pricing=(1, 2))):
+            sol = session.solve(time_limit=60.0)
+        engine = session._colgen
+        assert engine is not None
+        self._assert_failed_over(sol)
+        clean = session.solve()
+        assert session._colgen is engine
+        assert clean.status is SolveStatus.OPTIMAL
+        assert clean.objective == pytest.approx(7.0, abs=TOL)
+        assert clean.degradation is None

@@ -94,15 +94,17 @@ def _assert_matches(ours, reference, label: str) -> None:
 
 
 class TestLPDifferential:
-    # "auto" resolves to Dantzig at fuzz sizes; the explicit "devex" leg
-    # forces the reference-framework pricer + partial pricing through the
-    # exact same instance stream, so a devex-specific pricing or dual-update
-    # bug cannot hide behind the auto threshold.  The "slack-start" leg
-    # lowers the all-slack dual start's size threshold to 0, so every LP
-    # without equality rows cold-starts through the dual loop.
+    # The primal loop prices with Dantzig at fuzz sizes; the "devex" leg
+    # lowers the devex size threshold to 0, forcing the reference-framework
+    # pricer + partial pricing through the exact same instance stream, so a
+    # devex-specific pricing or dual-update bug cannot hide behind the size
+    # rule.  The "slack-start" leg lowers the all-slack dual start's size
+    # threshold to 0, so every LP without equality rows cold-starts through
+    # the dual loop.
     @pytest.mark.parametrize("leg", ["auto", "devex", "slack-start"])
     def test_simplex_matches_highs_on_random_lps(self, leg, monkeypatch):
-        pricing = "devex" if leg == "devex" else "auto"
+        if leg == "devex":
+            monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", 0)
         slack_starts = [0]
         if leg == "slack-start":
             monkeypatch.setattr(simplex, "_SLACK_START_MIN_COLS", 0)
@@ -129,7 +131,7 @@ class TestLPDifferential:
                 SolveStatus.UNBOUNDED,
             ):
                 continue  # numerical-trouble statuses have no defined mirror
-            ours = solve_standard_form(form, pricing=pricing)
+            ours = solve_standard_form(form)
             _assert_matches(ours, reference, f"LP #{checked} leg={leg}")
             statuses[reference.status] += 1
             checked += 1
@@ -143,7 +145,7 @@ class TestLPDifferential:
 
 
 class TestMILPDifferential:
-    def _run(self, n_instances: int, seed: int, pricing: str = "auto") -> None:
+    def _run(self, n_instances: int, seed: int) -> None:
         rng = np.random.default_rng(seed)
         statuses = {status: 0 for status in SolveStatus}
         for index in range(n_instances):
@@ -152,25 +154,25 @@ class TestMILPDifferential:
             reference = scipy_backend.solve_mip(form)
             if reference.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 continue
-            ours = solve_milp(form, pricing=pricing)
-            _assert_matches(ours, reference, f"MILP #{index} pricing={pricing}")
+            ours = solve_milp(form)
+            _assert_matches(ours, reference, f"MILP #{index} seed={seed}")
             statuses[reference.status] += 1
         assert statuses[SolveStatus.OPTIMAL] >= n_instances // 4
         assert statuses[SolveStatus.INFEASIBLE] >= 5
 
-    def test_branch_and_bound_with_inhouse_nodes_matches_highs(self, monkeypatch):
-        # Force the simplex node solver (with per-node warm starts): this is
-        # the configuration the vectorization refactor must not regress.
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+    def test_branch_and_bound_with_inhouse_nodes_matches_highs(self):
+        # The simplex node solver with per-node warm starts: the
+        # configuration the vectorization refactor must not regress.
         self._run(N_MILP_INSTANCES, seed=477)
 
     def test_branch_and_bound_with_devex_nodes_matches_highs(self, monkeypatch):
-        # Same stream under devex node pricing: cold root solves, warm
-        # re-solves and the devex dual-repair weighting all against HiGHS.
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
-        self._run(N_MILP_INSTANCES, seed=477, pricing="devex")
+        # Same stream with the primal loop pricing by devex at every size:
+        # cold root solves, warm re-solves and the devex dual-repair
+        # weighting all against HiGHS.
+        monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", 0)
+        self._run(N_MILP_INSTANCES, seed=477)
 
-    def test_branch_and_bound_with_scipy_nodes_matches_highs(self):
+    def test_branch_and_bound_matches_highs_on_second_stream(self):
         self._run(80, seed=478)
 
 
@@ -213,17 +215,14 @@ class TestPresolveCutsDifferential:
             checked += 1
         assert checked >= 40
 
-    def test_presolve_and_cuts_agree_on_random_milps(self, monkeypatch):
+    def test_presolve_and_cuts_agree_on_random_milps(self):
         from repro.optim import solve_model
 
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
         rng = np.random.default_rng(6061)
         checked = 0
         for _ in range(60):
             model = _random_model(rng, mip=True)
             form = model.to_standard_form()
-            # solve_mip talks to scipy directly; the is_available monkeypatch
-            # only steers the branch-and-bound node solver in-house.
             reference = scipy_backend.solve_mip(form)
             if reference.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 continue

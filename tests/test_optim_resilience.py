@@ -59,6 +59,15 @@ def _mip_model():
     return m
 
 
+def _frac_knapsack_model():
+    """A knapsack whose LP relaxation (9.5) is above its MILP optimum (9.0)."""
+    m = Model("frac-knapsack", sense="max")
+    zs = [m.add_var(f"z{i}", vartype="binary") for i in range(3)]
+    m.add_constr(lin_sum(w * z for w, z in zip([2, 3, 4], zs)) <= 7)
+    m.set_objective(lin_sum(v * z for v, z in zip([3, 4, 5], zs)))
+    return m
+
+
 _reported_rules = []
 
 
@@ -367,6 +376,61 @@ class TestBackendFailover:
         assert sol.degradation is not None
         assert sol.degradation.rungs == ("scipy->branch-and-bound",)
         assert sol.degradation.guarantee == "optimal"
+
+    def test_scipy_failover_hop_solves_node_lps_in_house(self, monkeypatch):
+        # When HiGHS raises, the branch-and-bound hop must not lean on it
+        # for its node LPs: it answers on its own, and the chain stops there.
+        def down(*args, **kwargs):
+            raise SolverError("HiGHS is down")
+
+        monkeypatch.setattr(scipy_backend, "solve_lp", down)
+        monkeypatch.setattr(scipy_backend, "solve_mip", down)
+        sol = solve_model(_mip_model(), backend="scipy", fallback="auto")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(15.0)
+        assert sol.degradation is not None
+        assert sol.degradation.rungs == ("scipy->branch-and-bound",)
+        assert sol.degradation.guarantee == "optimal"
+
+    @pytest.mark.skipif(
+        not scipy_backend.is_available(), reason="failover target is scipy"
+    )
+    @pytest.mark.parametrize("via", ["one-shot", "session"])
+    def test_failed_over_simplex_solve_keeps_the_relaxation(self, via):
+        # The simplex backend answers a MILP's LP relaxation (9.5 on this
+        # knapsack); its failover hop must answer the same problem, not the
+        # MILP (9.0).
+        m = _frac_knapsack_model()
+        assert solve_model(m, backend="simplex").objective == pytest.approx(9.5)
+        with faultinject.inject(FaultPlan(fail_backends=("simplex",))):
+            if via == "session":
+                sol = m.session(backend="simplex", fallback="auto").solve()
+            else:
+                sol = solve_model(m, backend="simplex", fallback="auto")
+        assert sol.objective == pytest.approx(9.5)
+        assert sol.degradation is not None
+        assert sol.degradation.rungs == ("simplex->scipy",)
+
+    @pytest.mark.skipif(
+        not scipy_backend.is_available(), reason="failover target is scipy"
+    )
+    @pytest.mark.parametrize("via", ["one-shot", "session"])
+    def test_failed_over_branch_and_bound_solve_keeps_integrality(self, via):
+        # The other half of the rule: a primary that enforces integrality
+        # hands it to its hop, which answers the MILP (9.0), not the
+        # relaxation (9.5).  Presolve is off, so its integer reductions
+        # cannot close that gap before the hop runs.
+        m = _frac_knapsack_model()
+        opts = {"backend": "branch-and-bound", "fallback": "auto", "presolve": "off"}
+        with faultinject.inject(FaultPlan(fail_backends=("branch-and-bound",))):
+            if via == "session":
+                sol = m.session(**opts).solve()
+            else:
+                sol = solve_model(m, **opts)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(9.0)
+        assert sol.degradation is not None
+        assert sol.degradation.rungs == ("branch-and-bound->scipy",)
 
     def test_all_backends_down_degrades_to_greedy(self):
         plan = FaultPlan(fail_backends=("simplex", "scipy", "branch-and-bound"))

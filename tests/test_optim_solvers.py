@@ -18,7 +18,8 @@ from repro.optim import (
     lin_sum,
     solve_model,
 )
-from repro.optim import faultinject
+from repro.optim import faultinject, simplex
+from repro.optim import instrumentation as instr
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InfeasibleError, SolverError, UnboundedError
 from repro.optim.simplex import solve_standard_form
@@ -237,19 +238,25 @@ class TestOptionPlumbing:
         with pytest.raises(SolverError):
             solve_model(m, backend="simplex", mip_gap=0.01)
 
-    @pytest.mark.parametrize("bad", ["steepest", "", "Devex", 7, None])
-    def test_pricing_option_validated(self, bad):
-        # Mirrors the time_limit style: a malformed value is a loud
-        # ValueError before any solve work starts.
-        with pytest.raises((ValueError, TypeError), match="pricing"):
-            solve_model(_lp_example(), backend="simplex", pricing=bad)
+    @pytest.mark.parametrize("option", [{"pricing": "devex"}, {"decomposition": "colgen"}])
+    @pytest.mark.parametrize("backend", ["scipy", "simplex", "branch-and-bound"])
+    def test_retired_options_are_unknown(self, backend, option):
+        # The LP's size picks the pricing rule and column generation; no
+        # option overrides either, on a one-shot solve or a session.
+        with pytest.raises(SolverError, match="does not recognize"):
+            solve_model(_lp_example(), backend=backend, **option)
+        with pytest.raises(SolverError, match="does not recognize"):
+            _lp_example().session(backend=backend, **option)
 
     @pytest.mark.parametrize("backend", ["simplex", "branch-and-bound"])
-    @pytest.mark.parametrize("pricing", ["auto", "dantzig", "devex"])
-    def test_pricing_modes_reach_the_same_optimum(self, backend, pricing):
+    @pytest.mark.parametrize("devex_min_cols", [math.inf, 0], ids=["dantzig", "devex"])
+    def test_both_entering_rules_reach_the_same_optimum(
+        self, backend, devex_min_cols, monkeypatch
+    ):
+        monkeypatch.setattr(simplex, "_DEVEX_MIN_COLS", devex_min_cols)
         model = _mip_example() if backend == "branch-and-bound" else _lp_example()
         expected = 15.0 if backend == "branch-and-bound" else 12.0
-        sol = solve_model(model, backend=backend, pricing=pricing)
+        sol = solve_model(model, backend=backend)
         assert sol.is_optimal
         assert sol.objective == pytest.approx(expected, abs=1e-6)
 
@@ -259,19 +266,17 @@ class TestOptionPlumbing:
         assert sol.objective is not None
         assert sol.objective >= 15.0 * (1 - 0.5) - 1e-9
 
-    def test_max_iter_reaches_branch_and_bound_node_lps(self, monkeypatch):
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+    def test_max_iter_reaches_branch_and_bound_node_lps(self):
         m = _mip_example()
         with pytest.raises(SolverError, match="did not converge"):
             solve_model(m, backend="branch-and-bound", max_iter=1)
 
-    def test_node_lp_iteration_limit_raises_not_infeasible(self):
-        # With scipy node LPs, an iteration-limited node must abort loudly
-        # instead of being silently fathomed (which reported a feasible MILP
-        # as INFEASIBLE).
-        m = _mip_example()
-        with pytest.raises(SolverError, match="node LP"):
-            solve_model(m, backend="branch-and-bound", max_iter=1)
+    def test_branch_and_bound_solves_node_lps_in_house(self):
+        # Node LPs never go to HiGHS, whether or not SciPy is importable.
+        instr.reset()
+        sol = solve_model(_mip_example(), backend="branch-and-bound")
+        assert sol.objective == pytest.approx(15.0, abs=1e-6)
+        assert instr.get("lp_solves") > 0
 
     def test_time_limit_accepted_by_branch_and_bound(self):
         m = _mip_example()
@@ -293,23 +298,17 @@ def _fractional_root_mip():
 class TestMilpStatusEdges:
     """Regression tests for the unbounded-root and max_nodes edge fixes."""
 
-    @pytest.mark.parametrize("inhouse_nodes", [False, True])
-    def test_unbounded_relaxation_infeasible_milp(self, monkeypatch, inhouse_nodes):
+    def test_unbounded_relaxation_infeasible_milp(self):
         # LP relaxation is unbounded (min -x, x >= 0 free above) but the MILP
         # is infeasible: z integer has no integer point in [0.4, 0.6].  The
         # feasibility probe must report INFEASIBLE, not UNBOUNDED.
-        if inhouse_nodes:
-            monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
         m = Model("edge", sense="min")
         x = m.add_var("x")
         m.add_var("z", lb=0.4, ub=0.6, vartype="integer")
         m.set_objective(-x)
         assert m.solve(backend="branch-and-bound").status is SolveStatus.INFEASIBLE
 
-    @pytest.mark.parametrize("inhouse_nodes", [False, True])
-    def test_unbounded_relaxation_feasible_milp(self, monkeypatch, inhouse_nodes):
-        if inhouse_nodes:
-            monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
+    def test_unbounded_relaxation_feasible_milp(self):
         m = Model("edge2", sense="min")
         x = m.add_var("x")
         m.add_var("z", vartype="binary")

@@ -440,13 +440,11 @@ class TestBasisFactor:
 
 
 class TestCanonicalizationContract:
-    def test_branch_and_bound_canonicalizes_once(self, monkeypatch):
+    def test_branch_and_bound_canonicalizes_once(self):
         """The whole B&B tree shares one canonicalization; per-node work is
         bound patches and basis updates (the PR's acceptance contract)."""
-        from repro.optim import scipy_backend
         from repro.optim.branch_and_bound import solve_milp
 
-        monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
         rng = np.random.default_rng(3)
         model = Model("cover", sense="min")
         xs = [model.add_var(f"z{i}", vartype="binary") for i in range(12)]

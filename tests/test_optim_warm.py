@@ -142,11 +142,10 @@ def test_ppme_star_drift_chain_solves_cold_once(cold_solves):
             assert got == pytest.approx(ref, rel=1e-6), f"step {step}"
 
 
-def test_root_cut_rounds_solve_cold_once(monkeypatch, cold_solves):
+def test_root_cut_rounds_solve_cold_once(cold_solves):
     # The 12-binary cover MILP of the one-canonicalization contract, this
     # time with the root cut loop on: every round after the first, and the
     # root node, start from the previous round's migrated basis.
-    monkeypatch.setattr(scipy_backend, "is_available", lambda: False)
     rng = np.random.default_rng(3)
     model = Model("cover", sense="min")
     xs = [model.add_var(f"z{i}", vartype="binary") for i in range(12)]

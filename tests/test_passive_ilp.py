@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.optim.errors import InfeasibleError, NoIncumbentError
+from repro.optim.errors import InfeasibleError, NoIncumbentError, SolverError
 from repro.passive import (
     PPMProblem,
     expected_gain,
@@ -55,6 +55,12 @@ class TestCompactILP:
             solve_ilp(problem, backend="scipy").num_devices
             == solve_ilp(problem, backend="branch-and-bound").num_devices
         )
+
+    @pytest.mark.parametrize("option", ["pricing", "decomposition"])
+    def test_retired_solver_options_are_unknown(self, figure3_matrix, option):
+        problem = PPMProblem(figure3_matrix, coverage=1.0)
+        with pytest.raises(SolverError, match="does not recognize"):
+            solve_ilp(problem, backend="branch-and-bound", **{option: "auto"})
 
     def test_never_worse_than_greedy(self, small_traffic):
         problem = PPMProblem(small_traffic, coverage=0.95)
