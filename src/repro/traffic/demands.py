@@ -11,6 +11,7 @@ Definitions follow Section 4.1 of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -26,7 +27,7 @@ class Route:
     nodes:
         The sequence of nodes traversed, including ingress and egress.
     volume:
-        Bandwidth carried along this path (must be positive).
+        Bandwidth carried along this path (must be positive and finite).
     """
 
     nodes: Tuple[Hashable, ...]
@@ -35,8 +36,8 @@ class Route:
     def __post_init__(self) -> None:
         if len(self.nodes) < 2:
             raise ValueError("a route needs at least two nodes")
-        if self.volume <= 0:
-            raise ValueError(f"route volume must be positive, got {self.volume}")
+        if not 0 < self.volume < math.inf:
+            raise ValueError(f"route volume must be positive and finite, got {self.volume}")
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
     @property

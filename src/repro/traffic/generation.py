@@ -14,6 +14,7 @@ pairs receive a volume one order of magnitude larger.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -56,8 +57,8 @@ class DemandConfig:
         if self.preferred_pairs < 0:
             raise ValueError("preferred_pairs must be non-negative")
         for low, high in (self.base_volume_range, self.preferred_volume_range):
-            if low <= 0 or high < low:
-                raise ValueError("volume ranges must satisfy 0 < low <= high")
+            if not 0 < low <= high < math.inf:
+                raise ValueError("volume ranges must satisfy 0 < low <= high < inf")
 
 
 def eligible_endpoints(pop: POPTopology, include_routers: bool = False) -> List[Hashable]:

@@ -9,18 +9,34 @@ load balancing, i.e. several weighted shortest paths per ingress/egress pair.
 
 This module turns a demand dictionary ``(src, dst) -> volume`` into a
 :class:`~repro.traffic.demands.TrafficMatrix` under those policies.
+
+Paths are found with one shortest-path search per distinct ingress, not one
+per demand: a breadth-first search for hop counts, or Dijkstra's algorithm
+when :attr:`RoutingConfig.weight` names an edge attribute.  The distances of
+each ingress live, for one :func:`route_demands` call, in a list indexed by
+node position, and a demand's equal-cost paths are read off by walking back
+from its egress over the neighbours exactly one edge closer to the ingress.
+A demand's candidate paths are every shortest simple path, each once, sorted
+on ``[repr(n) for n in path]`` and capped at ``max_paths``: the list, order
+and cap of a per-demand ``networkx.all_shortest_paths`` search (which lists
+a path once more per zero-weight edge at the ingress), so the single-path
+tie-break draws the same numbers and picks the same routes.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.topology.pop import POPTopology
 from repro.traffic.demands import Route, Traffic, TrafficMatrix
+
+#: Per node position, the ``(neighbour position, edge weight)`` pairs.
+Adjacency = Sequence[Sequence[Tuple[int, float]]]
 
 
 @dataclass
@@ -39,6 +55,7 @@ class RoutingConfig:
         default here.
     weight:
         Edge attribute used as the routing metric; ``None`` means hop count.
+        An edge without the attribute weighs 1.
     max_paths:
         Upper bound on the number of ECMP paths kept per demand (ties beyond
         this count are dropped deterministically).
@@ -58,24 +75,78 @@ class RoutingConfig:
             raise ValueError("max_paths must be at least 1")
 
 
-def shortest_paths(
-    pop: POPTopology,
-    source: Hashable,
-    destination: Hashable,
-    weight: Optional[str] = None,
-    max_paths: int = 4,
-) -> List[List[Hashable]]:
-    """All shortest paths between two nodes, capped at ``max_paths``.
+def _adjacency(pop: POPTopology, position: Mapping[Hashable, int], weight: Optional[str]) -> Adjacency:
+    """The POP's adjacency in ``position`` order, weighted by ``weight`` (hop count if None)."""
+    adjacency: List[List[Tuple[int, float]]] = []
+    for node in position:
+        row = []
+        for other, data in pop.graph.adj[node].items():
+            cost = 1 if weight is None else data.get(weight, 1)
+            if not 0 <= cost < math.inf:
+                raise ValueError(
+                    f"edge ({node!r}, {other!r}) has {weight} {cost!r}; "
+                    "routing weights must be finite and non-negative"
+                )
+            row.append((position[other], cost))
+        adjacency.append(row)
+    return adjacency
 
-    Paths are returned in a deterministic order (lexicographic on node
-    representation) so experiments are reproducible.
+
+def _distances(adjacency: Adjacency, source: int, weighted: bool) -> List[float]:
+    """Distance from node position ``source`` to every node position.
+
+    Hop counts by breadth-first search, or weight sums by Dijkstra's
+    algorithm when ``weighted``; ``math.inf`` marks an unreachable node.
     """
-    try:
-        paths = nx.all_shortest_paths(pop.graph, source, destination, weight=weight)
-        collected = sorted((list(p) for p in paths), key=lambda p: [repr(n) for n in p])
-    except nx.NetworkXNoPath:
-        return []
-    return collected[:max_paths]
+    dist: List[float] = [math.inf] * len(adjacency)
+    dist[source] = 0
+    if not weighted:
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            step = dist[u] + 1
+            for v, _ in adjacency[u]:
+                if step < dist[v]:
+                    dist[v] = step
+                    queue.append(v)
+        return dist
+    heap: List[Tuple[float, int]] = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, cost in adjacency[u]:
+            if d + cost < dist[v]:
+                dist[v] = d + cost
+                heapq.heappush(heap, (d + cost, v))
+    return dist
+
+
+def _walk_back(adjacency: Adjacency, dist: Sequence[float], source: int, target: int) -> List[List[int]]:
+    """Every shortest simple path from ``source`` to a reachable ``target``.
+
+    Depth-first from ``target`` over the neighbours ``v`` of each node ``u``
+    with ``dist[v] + w(v, u) == dist[u]``; a node already on the path is not
+    re-entered, so zero-weight edges cannot loop.
+    """
+    paths: List[List[int]] = []
+    path = [target]
+    branches = [iter(adjacency[target])]
+    while branches:
+        u = path[-1]
+        for v, cost in branches[-1]:
+            if dist[v] + cost == dist[u] and v not in path:
+                break
+        else:
+            path.pop()
+            branches.pop()
+            continue
+        if v == source:
+            paths.append([source, *reversed(path)])
+        else:
+            path.append(v)
+            branches.append(iter(adjacency[v]))
+    return paths
 
 
 def route_demands(
@@ -84,6 +155,14 @@ def route_demands(
     config: Optional[RoutingConfig] = None,
 ) -> TrafficMatrix:
     """Route a demand matrix over the POP, producing a :class:`TrafficMatrix`.
+
+    Each distinct ingress is searched once, and each demand's shortest paths
+    are walked back from its egress over that ingress's distances (see the
+    module docstring).  A demand's candidate paths are all its shortest
+    simple paths sorted on ``[repr(n) for n in path]`` and capped at
+    ``config.max_paths``; multipath routing splits the volume over them, and
+    single-path routing draws one with a :class:`random.Random` seeded by
+    ``config.tie_break_seed``, in demand order.
 
     Parameters
     ----------
@@ -99,13 +178,18 @@ def route_demands(
     Raises
     ------
     ValueError
-        If a demand endpoint is not a node of the POP or no path exists
-        between a demand's endpoints.
+        If a demand endpoint is not a node of the POP, no path exists
+        between a demand's endpoints, a volume is not finite, or a routing
+        weight is negative or not finite.
     """
     config = config or RoutingConfig()
     rng = random.Random(config.tie_break_seed)
     matrix = TrafficMatrix()
-    symmetric_cache: Dict[Tuple[Hashable, Hashable], List[Hashable]] = {}
+    symmetric_cache: Dict[Tuple[Hashable, Hashable], Tuple[Hashable, ...]] = {}
+    nodes = list(pop.graph)
+    position = {node: i for i, node in enumerate(nodes)}
+    adjacency = _adjacency(pop, position, config.weight)
+    distances: Dict[int, List[float]] = {}
 
     for index, ((source, destination), volume) in enumerate(demands.items()):
         if volume <= 0:
@@ -116,24 +200,29 @@ def route_demands(
             if endpoint not in pop.graph:
                 raise ValueError(f"demand endpoint {endpoint!r} is not a node of POP {pop.name!r}")
 
-        paths = shortest_paths(
-            pop, source, destination, weight=config.weight, max_paths=config.max_paths
-        )
-        if not paths:
+        ingress, egress = position[source], position[destination]
+        dist = distances.get(ingress)
+        if dist is None:
+            dist = distances[ingress] = _distances(adjacency, ingress, config.weight is not None)
+        if dist[egress] == math.inf:
             raise ValueError(f"no path between {source!r} and {destination!r} in POP {pop.name!r}")
+        paths = [tuple([nodes[i] for i in path]) for path in _walk_back(adjacency, dist, ingress, egress)]
+        if len(paths) > 1:
+            paths.sort(key=lambda p: [repr(n) for n in p])
+            del paths[config.max_paths :]
 
         traffic_id = (source, destination)
         if config.multipath and len(paths) > 1:
             share = volume / len(paths)
-            routes = [Route(tuple(path), share) for path in paths]
+            routes = [Route(path, share) for path in paths]
         else:
             if config.symmetric and (destination, source) in symmetric_cache:
-                chosen = list(reversed(symmetric_cache[(destination, source)]))
+                chosen = symmetric_cache[(destination, source)][::-1]
             else:
                 # Deterministic pseudo-random tie-break among equal-cost paths,
                 # mimicking the arbitrary choices of a real routing protocol.
                 chosen = paths[rng.randrange(len(paths))] if len(paths) > 1 else paths[0]
             symmetric_cache[(source, destination)] = chosen
-            routes = [Route(tuple(chosen), volume)]
+            routes = [Route(chosen, volume)]
         matrix.add(Traffic(traffic_id=traffic_id, routes=routes))
     return matrix

@@ -1,8 +1,17 @@
-"""Tests for traffic demands, routing and generation."""
+"""Tests for traffic demands, routing and generation.
 
+:func:`route_demands` searches once per ingress; it is checked against
+:func:`reference_route_demands`, the per-demand ``networkx.all_shortest_paths``
+routing kept here as the oracle.
+"""
+
+import itertools
+import random
+
+import networkx as nx
 import pytest
 
-from repro.topology import NodeRole, POPTopology, paper_pop
+from repro.topology import NodeRole, POPTopology, paper_pop, synthetic_rocketfuel
 from repro.topology.pop import link_key
 from repro.traffic import (
     DemandConfig,
@@ -13,8 +22,101 @@ from repro.traffic import (
     generate_demands,
     generate_traffic_matrix,
     route_demands,
+    routing,
 )
 from repro.traffic.generation import eligible_endpoints
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def reference_shortest_paths(pop, source, destination, weight=None):
+    """Every shortest path between two nodes, sorted on node representation.
+
+    One networkx search per call; an unreachable destination gives ``[]``.
+    """
+    try:
+        paths = nx.all_shortest_paths(pop.graph, source, destination, weight=weight)
+        return sorted((list(p) for p in paths), key=lambda p: [repr(n) for n in p])
+    except nx.NetworkXNoPath:
+        return []
+
+
+def reference_route_demands(pop, demands, config, paths_of=None):
+    """Route ``demands`` with one :func:`reference_shortest_paths` per demand.
+
+    ``paths_of(source, destination)`` may stand in for that call (a memo
+    shared by several configs of one instance); it returns the uncapped list.
+    """
+    paths_of = paths_of or (lambda s, d: reference_shortest_paths(pop, s, d, config.weight))
+    rng = random.Random(config.tie_break_seed)
+    matrix = TrafficMatrix()
+    symmetric_cache = {}
+    for index, ((source, destination), volume) in enumerate(demands.items()):
+        if volume <= 0:
+            continue
+        if source == destination:
+            raise ValueError(f"demand {index}: source and destination are both {source!r}")
+        for endpoint in (source, destination):
+            if endpoint not in pop.graph:
+                raise ValueError(f"demand endpoint {endpoint!r} is not a node of POP {pop.name!r}")
+        paths = paths_of(source, destination)[: config.max_paths]
+        if not paths:
+            raise ValueError(f"no path between {source!r} and {destination!r} in POP {pop.name!r}")
+        traffic_id = (source, destination)
+        if config.multipath and len(paths) > 1:
+            share = volume / len(paths)
+            routes = [Route(tuple(path), share) for path in paths]
+        else:
+            if config.symmetric and (destination, source) in symmetric_cache:
+                chosen = list(reversed(symmetric_cache[(destination, source)]))
+            else:
+                chosen = paths[rng.randrange(len(paths))] if len(paths) > 1 else paths[0]
+            symmetric_cache[(source, destination)] = chosen
+            routes = [Route(tuple(chosen), volume)]
+        matrix.add(Traffic(traffic_id=traffic_id, routes=routes))
+    return matrix
+
+
+#: Routing policies every oracle comparison runs under.
+ORACLE_CONFIGS = {
+    "default": {},
+    "multipath-1": {"multipath": True, "max_paths": 1},
+    "multipath-2": {"multipath": True, "max_paths": 2},
+    "multipath-8": {"multipath": True, "max_paths": 8},
+    "symmetric": {"symmetric": True},
+}
+
+
+def routed(matrix):
+    """Traffic ids in order, each with its routes' nodes and volumes."""
+    return [(t.traffic_id, [(r.nodes, r.volume) for r in t.routes]) for t in matrix]
+
+
+def assert_matches_oracle(monkeypatch, pop, demands, seed=0, weight=None):
+    """Route under every :data:`ORACLE_CONFIGS` entry; compare and count searches."""
+    search = routing._distances
+    searched = []
+
+    def counted(adjacency, source, weighted):
+        searched.append(source)
+        return search(adjacency, source, weighted)
+
+    monkeypatch.setattr(routing, "_distances", counted)
+    memo = {}
+
+    def paths_of(source, destination):
+        if (source, destination) not in memo:
+            memo[source, destination] = reference_shortest_paths(pop, source, destination, weight)
+        return memo[source, destination]
+
+    ingresses = {source for (source, _), volume in demands.items() if volume > 0}
+    for name, options in ORACLE_CONFIGS.items():
+        config = RoutingConfig(weight=weight, tie_break_seed=seed, **options)
+        searched.clear()
+        got = route_demands(pop, demands, config)
+        assert routed(got) == routed(reference_route_demands(pop, demands, config, paths_of)), name
+        assert len(searched) == len(set(searched)) == len(ingresses), name
 
 
 class TestRoute:
@@ -30,6 +132,11 @@ class TestRoute:
             Route(("a",), 1.0)
         with pytest.raises(ValueError):
             Route(("a", "b"), 0.0)
+
+    @pytest.mark.parametrize("volume", [NAN, INF])
+    def test_non_finite_volume_rejected(self, volume):
+        with pytest.raises(ValueError, match="finite"):
+            Route(("a", "b"), volume)
 
 
 class TestTraffic:
@@ -163,6 +270,81 @@ class TestRouting:
         with pytest.raises(ValueError):
             RoutingConfig(max_paths=0)
 
+    @pytest.mark.parametrize("volume", [NAN, INF])
+    def test_non_finite_demand_rejected(self, diamond_pop, volume):
+        with pytest.raises(ValueError, match="finite"):
+            route_demands(diamond_pop, {("a", "b"): 1.0, ("a", "c"): volume})
+
+
+class TestRoutingOracle:
+    """:func:`route_demands` against the per-demand networkx routing."""
+
+    @pytest.mark.parametrize("include_routers", [False, True], ids=["virtual", "routers"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("preset", ["pop10", "pop15", "pop29"])
+    def test_paper_pops(self, monkeypatch, preset, seed, include_routers):
+        pop = paper_pop(preset, seed=seed)
+        demands = generate_demands(pop, DemandConfig(include_routers=include_routers), seed=seed)
+        assert_matches_oracle(monkeypatch, pop, demands, seed=seed)
+
+    def test_rocketfuel_sample(self, monkeypatch):
+        pop = synthetic_rocketfuel(seed=0)
+        demands = generate_demands(pop, DemandConfig(pair_fraction=0.32), seed=0)
+        sample = dict(itertools.islice(demands.items(), 2000))
+        assert_matches_oracle(monkeypatch, pop, sample)
+
+
+@pytest.fixture()
+def weighted_pop():
+    """Five routers whose ``delay`` metric disagrees with hop count.
+
+    ``a-c`` is one hop but costs 5, so the delay-shortest ``a -> c`` routes
+    take two or three hops; ``c-d`` costs 0, so ``c`` and ``d`` are equally
+    far from every other router and shortest paths may cross that edge
+    either way; ``a-e`` has no ``delay`` and costs 1.
+    """
+    pop = POPTopology("weighted")
+    for node in "abcde":
+        pop.add_router(node, NodeRole.BACKBONE)
+    delays = {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 5.0, ("c", "d"): 0.0,
+              ("b", "d"): 1.0, ("d", "e"): 1.0, ("a", "e"): None}
+    for (u, v), delay in delays.items():
+        pop.add_link(u, v)
+        if delay is not None:
+            pop.graph.edges[u, v]["delay"] = delay
+    return pop
+
+
+class TestWeightedRouting:
+    def test_delay_differs_from_hop_count(self, weighted_pop):
+        demand = {("a", "c"): 3.0}
+        hops = route_demands(weighted_pop, demand)[("a", "c")]
+        delay = route_demands(weighted_pop, demand, RoutingConfig(weight="delay", multipath=True))
+        assert [r.nodes for r in hops.routes] == [("a", "c")]
+        assert [r.nodes for r in delay[("a", "c")].routes] == [
+            ("a", "b", "c"), ("a", "b", "d", "c"), ("a", "e", "d", "c")
+        ]
+
+    def test_matches_oracle(self, monkeypatch, weighted_pop):
+        # No demand enters at c or d: networkx yields each path from a source
+        # once more per zero-cost neighbour of that source (next test).
+        pairs = [(u, v) for u, v in itertools.permutations(weighted_pop.graph, 2) if u not in "cd"]
+        demands = {pair: 1.0 + i for i, pair in enumerate(pairs)}
+        assert_matches_oracle(monkeypatch, weighted_pop, demands, weight="delay")
+
+    def test_zero_cost_ingress_paths_are_distinct(self, weighted_pop):
+        config = RoutingConfig(weight="delay", multipath=True)
+        traffic = route_demands(weighted_pop, {("c", "b"): 2.0}, config)[("c", "b")]
+        assert [(r.nodes, r.volume) for r in traffic.routes] == [
+            (("c", "b"), 1.0), (("c", "d", "b"), 1.0)
+        ]
+
+    @pytest.mark.parametrize("delay", [-1.0, NAN, INF])
+    def test_invalid_weight_rejected(self, weighted_pop, delay):
+        weighted_pop.graph.edges["a", "b"]["delay"] = delay
+        with pytest.raises(ValueError, match="non-negative"):
+            route_demands(weighted_pop, {("a", "c"): 1.0}, RoutingConfig(weight="delay"))
+
 
 class TestDemandGeneration:
     def test_eligible_endpoints_default_to_virtual_nodes(self):
@@ -211,6 +393,20 @@ class TestDemandGeneration:
             DemandConfig(preferred_pairs=-1)
         with pytest.raises(ValueError):
             DemandConfig(base_volume_range=(2.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            {"base_volume_range": (1.0, NAN)},
+            {"base_volume_range": (NAN, 10.0)},
+            {"base_volume_range": (1.0, INF)},
+            {"preferred_volume_range": (50.0, INF)},
+            {"preferred_volume_range": (INF, INF)},
+        ],
+    )
+    def test_non_finite_volume_range_rejected(self, ranges):
+        with pytest.raises(ValueError, match="inf"):
+            DemandConfig(**ranges)
 
     def test_generate_traffic_matrix_end_to_end(self):
         pop = paper_pop("pop10", seed=5)
