@@ -217,12 +217,12 @@ def test_gate_inhouse_sweep_dual_pivots_per_solve(benchmark):
 _FIGURE8_ROOT_OBJECTIVES = {0.80: 9.316783751206, 0.95: 14.569174675443}
 
 #: Iteration budget for each Figure 8 root LP.  It counts dual bound flips
-#: as well as pivots: the dual loop runs 3,747 and 3,591 iterations for
-#: 1,571 and 1,499 pivots here.  The primal two-phase start used up this
-#: budget without converging.
+#: as well as pivots: the dual loop runs 3,624 and 3,477 iterations for
+#: 1,521 and 1,402 pivots here (k = 0.8 and 0.95).  The primal two-phase
+#: start used up this budget without converging.
 _FIGURE8_ROOT_MAX_ITER = 6_000
 
-#: Ceiling on primal + dual pivots per Figure 8 root LP (1,571 and 1,499).
+#: Ceiling on primal + dual pivots per Figure 8 root LP (1,521 and 1,402).
 _FIGURE8_ROOT_MAX_PIVOTS = 2_500
 
 

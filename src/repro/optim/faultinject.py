@@ -68,7 +68,7 @@ ACTIVE = False
 
 #: Instrumented sites (occurrence counters are kept per site name).
 FACTORIZE = "factorize"        # _BasisFactor construction
-PIVOT_FTRAN = "pivot-ftran"    # FTRAN of an entering pivot column
+PIVOT_FTRAN = "pivot-ftran"    # FTRAN of an entering column or of a dual iteration's bound flips
 SPIKE = "spike"                # Forrest-Tomlin spike recorded by _BasisFactor.update
 WARM_REPAIR = "warm-repair"    # warm-start dual repair attempt
 DEADLINE = "deadline"          # Deadline expiry check
@@ -88,7 +88,8 @@ class FaultPlan:
 
     #: Basis factorizations (by occurrence) that raise ``_SingularBasis``.
     fail_factorizations: Tuple[int, ...] = ()
-    #: Entering-column FTRANs (by occurrence) that get a NaN written in.
+    #: Pivot FTRANs (by occurrence) that get a NaN written in: entering
+    #: columns, and the one summed FTRAN of a dual iteration's bound flips.
     corrupt_pivots: Tuple[int, ...] = ()
     #: Stored Forrest-Tomlin spikes (by occurrence) that get a NaN written
     #: in -- unlike a corrupted pivot the damage *persists* inside the eta

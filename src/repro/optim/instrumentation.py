@@ -29,6 +29,7 @@ COUNTER_NAMES = (
     "bound_flips",        # primal pivots that were pure bound flips (no basis change)
     "degenerate_pivots",  # primal pivots with a (near-)zero objective step
     "dual_pivots",        # dual simplex (warm-start repair) pivots
+    "sparse_pivot_rows",  # dual pivot rows built from rho's nonzero rows only
     "factorizations",     # basis LU factorizations, initial ones included
     "refactorizations",   # periodic refactorizations triggered by eta growth
     "eta_updates",        # basis updates between factorizations (all kinds)

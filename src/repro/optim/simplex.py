@@ -28,7 +28,10 @@ Instead of a dense tableau the solver keeps only the basis factorized:
 
 Per iteration the work is two triangular solves against the factorization
 (FTRAN/BTRAN), one sparse pricing pass and an O(m) state update -- never
-the O(m*n) full-tableau pivot of the previous implementation.
+the O(m*n) full-tableau pivot of the previous implementation.  A dual
+iteration adds at most one FTRAN, for all of its bound flips together, and
+on large LPs builds its pivot row from the nonzero rows of ``B^-T e_r``
+only.
 
 The primal entering rule follows the LP's size.  Below
 :data:`_DEVEX_MIN_COLS` canonical columns Dantzig's rule prices every
@@ -81,7 +84,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -736,6 +739,17 @@ class _DevexPricer:
             instr.add("devex_resets")
 
 
+def _checked_ftran(factor: _BasisFactor, rhs: np.ndarray, what: str) -> np.ndarray:
+    """FTRAN ``rhs`` for a pivot; raise :class:`_NonFinitePivot`, naming
+    ``what``, when the result holds NaN or Inf."""
+    w = factor.ftran(rhs)
+    if faultinject.ACTIVE:
+        w = faultinject.corrupt_vector(faultinject.PIVOT_FTRAN, w)
+    if not np.all(np.isfinite(w)):
+        raise _NonFinitePivot(f"{what} came back non-finite from FTRAN")
+    return w
+
+
 def _primal_iterations(
     state: _State,
     costs: np.ndarray,
@@ -821,12 +835,7 @@ def _primal_iterations(
             dq = float(d[q])
         sigma = 1.0 if dq < 0 else -1.0
 
-        col = A.gather_col(q, np.zeros(m))
-        w = state.factor.ftran(col)
-        if faultinject.ACTIVE:
-            w = faultinject.corrupt_vector(faultinject.PIVOT_FTRAN, w)
-        if not np.all(np.isfinite(w)):
-            raise _NonFinitePivot("entering column came back non-finite from FTRAN")
+        w = _checked_ftran(state.factor, A.gather_col(q, np.zeros(m)), "entering column")
         wd = sigma * w
         lB = state.lower_ext[state.basis]
         uB = state.upper_ext[state.basis]
@@ -932,8 +941,15 @@ def _dual_iterations(
     ``state.row_weights`` (``w_r`` approximates the steepest-edge row norm),
     updated in place, so a warm start seeded with its parent's weights
     continues the parent's reference framework.  The entering column comes
-    from a full bounded ratio test: dual feasibility of the repaired basis
-    needs every eligible column scanned, so partial pricing is unsound here.
+    from a bounded ratio test that still scans every column the pivot row
+    can make eligible: dual feasibility of the repaired basis needs them
+    all, so partial pricing is unsound here.  On an LP of at least
+    :data:`_DEVEX_MIN_COLS` columns whose ``rho = B^-T e_r`` has nonzero
+    rows holding at most a tenth of the stored entries, the pivot row, the
+    eligibility test and the reduced-cost update run only on the columns
+    those rows touch (:meth:`SparseMatrix.rmatvec_rows`); the pivot row is
+    zero on every other column.  An iteration makes at most two FTRANs: one
+    for all of its bound flips, one for the entering column.
 
     Returns ``("feasible", iters)`` when every basic value is back inside
     its bounds, ``("infeasible", iters)`` when a violated row admits no
@@ -954,6 +970,10 @@ def _dual_iterations(
     if d is None:
         d = _reduced_costs(state, costs)
     dweights = state.row_weights
+    # The pivot row is summed over the columns rho's nonzero rows touch when
+    # those rows hold at most a tenth of the stored entries.  Below
+    # _DEVEX_MIN_COLS the full product is cheap and the density check is not.
+    row_budget = A.nnz // 10 if n_cols >= _DEVEX_MIN_COLS else None
     iterations = 0
     while iterations < max_iter:
         if (
@@ -979,21 +999,33 @@ def _dual_iterations(
         e_r = np.zeros(m)
         e_r[r] = 1.0
         rho = state.factor.btran(e_r)
-        alpha = A.rmatvec(rho)
+        # ``touched`` indexes the pivot row's columns: every column, or only
+        # the ``cols`` that rho's nonzero rows reach (alpha is zero on the
+        # rest, so no other column is eligible or changes its reduced cost).
+        row = None if row_budget is None else A.rmatvec_rows(rho, row_budget)
+        cols: Optional[np.ndarray]
+        if row is None:
+            cols, alpha = None, A.rmatvec(rho)
+        else:
+            cols, alpha = row
+            instr.add("sparse_pivot_rows")
+        touched: Union[slice, np.ndarray] = slice(None) if cols is None else cols
         if not np.all(np.isfinite(alpha)):
             raise _NonFinitePivot("dual pricing row came back non-finite from BTRAN")
 
-        at_low = state.vstat[:n_cols] == AT_LOWER
-        at_up = state.vstat[:n_cols] == AT_UPPER
+        st = state.vstat[:n_cols][touched]
+        at_low = st == AT_LOWER
+        at_up = st == AT_UPPER
         if below_case:  # the leaving basic must increase back to its lower bound
-            eligible = movable & ((at_low & (alpha < -EPS)) | (at_up & (alpha > EPS)))
+            eligible = movable[touched] & ((at_low & (alpha < -EPS)) | (at_up & (alpha > EPS)))
         else:
-            eligible = movable & ((at_low & (alpha > EPS)) | (at_up & (alpha < -EPS)))
-        idx = np.flatnonzero(eligible)
-        if idx.size == 0:
+            eligible = movable[touched] & ((at_low & (alpha > EPS)) | (at_up & (alpha < -EPS)))
+        pos = np.flatnonzero(eligible)
+        if pos.size == 0:
             return "infeasible", iterations
-        ratios = np.abs(d[idx]) / np.abs(alpha[idx])
-        order = idx[np.argsort(ratios, kind="stable")]
+        cand = pos if cols is None else cols[pos]
+        alpha_c = alpha[pos]
+        order = np.argsort(np.abs(d[cand]) / np.abs(alpha_c), kind="stable")
         target = lB[r] if below_case else uB[r]
 
         # Bound-flipping ratio test.  Candidates are visited in ascending
@@ -1001,7 +1033,11 @@ def _dual_iterations(
         # leaving row still needs would, if pivoted in, park the new basic
         # variable outside its box -- the degenerate-overshoot stall.  It is
         # *flipped* to its opposite bound instead (no pivot, no eta): the row
-        # violation shrinks by range * |w[r]| and the candidate is consumed.
+        # violation shrinks by range * |alpha_q| and the candidate is
+        # consumed.  alpha_q is the leaving row's entry of B^-1 a_q, so the
+        # test needs no FTRAN: it tracks the leaving row's value ``xr`` as a
+        # scalar, and the closing pivot moves every basic value by all the
+        # flips at once, one FTRAN of sum_j delta_j a_j.
         # Because every flipped candidate's ratio is below the eventual pivot
         # ratio, the closing pivot's price update gives each flipped column
         # exactly the reduced-cost sign its new bound requires, so dual
@@ -1011,34 +1047,38 @@ def _dual_iterations(
         # no point of the box satisfies the row: "infeasible".  If a flip
         # alone drops the row inside its bounds, the flipped columns' prices
         # are left inconsistent, so we return "stalled" and let the caller
-        # cold-solve.
-        pivoted = False
-        for q_raw in order:
-            q = int(q_raw)
-            col = A.gather_col(q, np.zeros(m))
-            w = state.factor.ftran(col)
-            if faultinject.ACTIVE:
-                w = faultinject.corrupt_vector(faultinject.PIVOT_FTRAN, w)
-            if not np.all(np.isfinite(w)):
-                raise _NonFinitePivot("entering column came back non-finite from FTRAN")
-            if abs(w[r]) < 1e-11:
-                return "stalled", iterations
-            t = (state.xB[r] - target) / w[r]
+        # cold-solve.  Either way the state is discarded, so the flips'
+        # FTRAN runs only before a closing pivot.
+        xr = float(state.xB[r])
+        flips: List[Tuple[int, float]] = []
+        for k in order:
+            q = int(cand[k])
+            alpha_q = float(alpha_c[k])
             range_q = state.upper_ext[q] - state.lower_ext[q]
+            t = (xr - target) / alpha_q
             if math.isfinite(range_q) and abs(t) > range_q + EPS:
                 delta = range_q if t > 0 else -range_q
-                state.xB -= delta * w
+                xr -= delta * alpha_q
+                flips.append((q, delta))
                 state.vstat[q] = AT_UPPER if state.vstat[q] == AT_LOWER else AT_LOWER
                 iterations += 1
                 instr.add("dual_bound_flips")
                 still_violated = (
-                    state.xB[r] < lB[r] - _WARM_FEAS_TOL
-                    if below_case
-                    else state.xB[r] > uB[r] + _WARM_FEAS_TOL
+                    xr < lB[r] - _WARM_FEAS_TOL if below_case else xr > uB[r] + _WARM_FEAS_TOL
                 )
                 if not still_violated or iterations >= max_iter:
                     return "stalled", iterations
                 continue
+            if flips:
+                moved = np.zeros(m)
+                for j, delta in flips:
+                    rows_j, vals_j = A.col(j)
+                    moved[rows_j] += delta * vals_j
+                state.xB -= _checked_ftran(state.factor, moved, "bound-flip update")
+            w = _checked_ftran(state.factor, A.gather_col(q, np.zeros(m)), "entering column")
+            if abs(w[r]) < 1e-11:
+                return "stalled", iterations
+            t = (state.xB[r] - target) / w[r]
             enter_from = state.lower_ext[q] if state.vstat[q] == AT_LOWER else state.upper_ext[q]
             leaving = int(state.basis[r])
             state.xB -= t * w
@@ -1052,9 +1092,9 @@ def _dual_iterations(
             # weight is rescaled by the pivot element.
             wr = float(w[r])
             ref = dweights[r]
-            cand = (w / wr) ** 2 * ref
-            if np.all(np.isfinite(cand)):
-                np.maximum(dweights, cand, out=dweights)
+            cand_w = (w / wr) ** 2 * ref
+            if np.all(np.isfinite(cand_w)):
+                np.maximum(dweights, cand_w, out=dweights)
             dweights[r] = max(ref / (wr * wr), 1.0)
             if float(dweights.max()) > _DEVEX_RESET_LIMIT:
                 dweights[:] = 1.0
@@ -1062,17 +1102,16 @@ def _dual_iterations(
             # Incremental dual-price update: d_j' = d_j - theta * alpha_j with
             # theta = d_q / alpha_q; the entering column becomes basic (d = 0)
             # and the leaving variable's price is exactly -theta.
-            theta = d[q] / alpha[q]
+            theta = d[q] / alpha_q
             if theta != 0.0:
-                d -= theta * alpha
+                d[touched] -= theta * alpha
             d[q] = 0.0
             if leaving < n_cols:
                 d[leaving] = -theta
             iterations += 1
             instr.add("dual_pivots")
-            pivoted = True
             break
-        if not pivoted:
+        else:
             return "infeasible", iterations
     return "stalled", iterations
 

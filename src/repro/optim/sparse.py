@@ -6,6 +6,8 @@ solver stack stores constraint matrices in CSC form: ``indptr`` (length
 each column) and ``data`` (the values).  The class below implements exactly
 the kernel set the sparse revised simplex and the backends need -- column
 gather, ``A @ x`` / ``A.T @ y`` products as whole-array numpy operations,
+``A.T @ y`` over a column range (partial pricing) and over the columns a
+sparse ``y``'s nonzero rows touch (the dual simplex's pivot row),
 in-place entry updates for :class:`repro.optim.backend.SolverSession`, and
 conversions to dense numpy / SciPy sparse for interop -- without depending
 on SciPy itself (the in-house solvers must run on a numpy-only install).
@@ -36,7 +38,7 @@ class SparseMatrix:
     the lazy matvec caches, so kernels stay correct across appends.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "data", "_col_ids", "_rmv_cache")
+    __slots__ = ("shape", "indptr", "indices", "data", "_col_ids", "_rmv_cache", "_row_index")
 
     def __init__(
         self,
@@ -51,6 +53,10 @@ class SparseMatrix:
         self.data = np.asarray(data, dtype=float)
         self._col_ids: Optional[np.ndarray] = None  # lazy, for matvec
         self._rmv_cache = None  # lazy (nonempty cols, segment starts), for rmatvec
+        # lazy structure-only row index (row pointer, entries per row, column
+        # of each entry in row-major order), for rmatvec_rows; data patches
+        # leave it valid
+        self._row_index: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -180,6 +186,42 @@ class SparseMatrix:
             out[nonempty] = np.add.reduceat(prods, self.indptr[lo + nonempty] - start)
         return out
 
+    def rmatvec_rows(
+        self, y: np.ndarray, max_entries: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``A.T @ y`` on the columns that ``y``'s nonzero rows touch.
+
+        Returns ``(cols, vals)``: the ascending indices of the columns with
+        a stored entry (explicit zeros included) in a row where ``y`` is
+        nonzero, and ``(A.T @ y)[cols]``.  Every other column's product is
+        zero.  Each column is summed over its whole stored segment in the
+        same order as :meth:`rmatvec`, so ``vals`` is bit-identical to it.
+        Returns None when those rows hold more than ``max_entries`` stored
+        entries, where :meth:`rmatvec` is the cheaper kernel.
+        """
+        if self._row_index is None:
+            # Stable: entries are column-major, so each row keeps its columns
+            # in ascending order.
+            order = np.argsort(self.indices, kind="stable")
+            row_counts = np.bincount(self.indices, minlength=self.shape[0])
+            self._row_index = (
+                np.concatenate(([0], np.cumsum(row_counts))),
+                row_counts,
+                self._column_ids()[order],
+            )
+        row_ptr, row_counts, row_cols = self._row_index
+        rows = np.flatnonzero(y)  # NaN counts as nonzero and propagates
+        counts = row_counts[rows]
+        total = int(counts.sum())
+        if total > max_entries:
+            return None
+        cols = np.unique(row_cols[_segments(row_ptr[rows], counts, total)])
+        col_starts = self.indptr[cols]
+        lens = self.indptr[cols + 1] - col_starts
+        pos = _segments(col_starts, lens, int(lens.sum()))
+        prods = self.data[pos] * y[self.indices[pos]]
+        return cols, np.add.reduceat(prods, np.cumsum(lens) - lens)
+
     # -- updates -----------------------------------------------------------
     def get(self, row: int, col: int) -> float:
         """Single-entry lookup (zero when the position is not stored)."""
@@ -209,6 +251,7 @@ class SparseMatrix:
         self.indptr[col + 1 :] += 1
         self._col_ids = None
         self._rmv_cache = None
+        self._row_index = None
         return True
 
     def append_columns(self, block: "SparseMatrix") -> None:
@@ -229,14 +272,14 @@ class SparseMatrix:
         self.shape = (self.shape[0], self.shape[1] + block.shape[1])
         self._col_ids = None
         self._rmv_cache = None
+        self._row_index = None
 
     def take_columns(self, cols: Sequence[int]) -> "SparseMatrix":
         """Gather ``A[:, cols]`` (in the given order) as a new matrix."""
         sel = np.asarray(cols, dtype=np.int64)
         counts = self.indptr[sel + 1] - self.indptr[sel]
         indptr = np.concatenate(([0], np.cumsum(counts)))
-        total = int(indptr[-1])
-        pos = np.repeat(self.indptr[sel] - indptr[:-1], counts) + np.arange(total)
+        pos = _segments(self.indptr[sel], counts, int(indptr[-1]))
         return SparseMatrix(
             (self.shape[0], sel.size), indptr, self.indices[pos], self.data[pos]
         )
@@ -272,3 +315,8 @@ class SparseMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"
 
+
+def _segments(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """Positions ``starts[k] .. starts[k] + counts[k] - 1``, concatenated in order."""
+    offsets = np.cumsum(counts) - counts
+    return np.repeat(starts - offsets, counts) + np.arange(total)

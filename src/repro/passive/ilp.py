@@ -56,13 +56,24 @@ if TYPE_CHECKING:  # pragma: no cover - types only (colgen is imported lazily)
     from repro.optim.model import StandardForm
 
 
-def _link_traffic_incidence(problem: PPMProblem) -> Dict[LinkKey, List[Hashable]]:
+def _crossing_links(problem: PPMProblem) -> List[List[LinkKey]]:
+    """The candidate links each traffic crosses, in traffic order.
+
+    One ``Traffic.links`` pass, each traffic's links kept in its set's
+    iteration order; the model builders below share the result.
+    """
+    candidate_set = set(problem.candidate_links)
+    return [[l for l in t.links if l in candidate_set] for t in problem.traffic]
+
+
+def _link_traffic_incidence(
+    problem: PPMProblem, crossing: Sequence[List[LinkKey]]
+) -> Dict[LinkKey, List[Hashable]]:
     """Map each candidate link to the traffics crossing it."""
     incidence: Dict[LinkKey, List[Hashable]] = {l: [] for l in problem.candidate_links}
-    for traffic in problem.traffic:
-        for link in traffic.links:
-            if link in incidence:
-                incidence[link].append(traffic.traffic_id)
+    for traffic, links in zip(problem.traffic, crossing):
+        for link in links:
+            incidence[link].append(traffic.traffic_id)
     return incidence
 
 
@@ -88,12 +99,15 @@ def _problem_signature(problem: PPMProblem) -> Tuple:
     )
 
 
-def _add_compact_core(model: Model, problem: PPMProblem) -> Tuple[Dict, Dict]:
+def _add_compact_core(
+    model: Model, problem: PPMProblem, crossing: Sequence[List[LinkKey]]
+) -> Tuple[Dict, Dict]:
     """Shared core of the compact formulation (Linear program 2).
 
     Adds the binary ``x_e`` per candidate link, the monitored fraction
     ``δ_t`` per traffic and the per-traffic monitor constraints
-    (``sum_{e in p_t} x_e >= δ_t``); returns ``(x, delta)``.  Both
+    (``sum_{e in p_t} x_e >= δ_t``) over ``crossing``, the
+    :func:`_crossing_links` of ``problem``; returns ``(x, delta)``.  Both
     :class:`PPMSession` and :func:`solve_max_coverage` build on this.
     """
     links = problem.candidate_links
@@ -103,12 +117,10 @@ def _add_compact_core(model: Model, problem: PPMProblem) -> Tuple[Dict, Dict]:
         t.traffic_id: model.add_var(f"delta[{j}]", lb=0.0, ub=1.0)
         for j, t in enumerate(traffics)
     }
-    candidate_set = set(links)
-    for traffic in traffics:
-        crossing = [l for l in traffic.links if l in candidate_set]
-        if crossing:
+    for traffic, crossed in zip(traffics, crossing):
+        if crossed:
             model.add_constr(
-                lin_sum(x[l] for l in crossing) >= delta[traffic.traffic_id],
+                lin_sum(x[l] for l in crossed) >= delta[traffic.traffic_id],
                 name=f"monitor[{traffic.traffic_id}]",
             )
         else:
@@ -135,7 +147,9 @@ class LP2Column(NamedTuple):
     crossing: Tuple[Hashable, ...]  # traffic ids for "x"; candidate links for "delta"
 
 
-def lp2_column_universe(problem: PPMProblem) -> Iterator[LP2Column]:
+def lp2_column_universe(
+    problem: PPMProblem, crossing: Sequence[List[LinkKey]]
+) -> Iterator[LP2Column]:
     """Lazily describe LP2's column universe, one column at a time.
 
     The generator never materializes any constraint matrix: each yielded
@@ -143,34 +157,36 @@ def lp2_column_universe(problem: PPMProblem) -> Iterator[LP2Column]:
     incident traffics / links) for a column-generation driver to rank and
     admit columns incrementally.  Iteration order matches the lowered
     column order of :class:`PPMSession` (``x`` first, then ``delta``).
+    ``crossing`` is the :func:`_crossing_links` of ``problem``.
     """
     links = problem.candidate_links
-    incidence = _link_traffic_incidence(problem)
+    incidence = _link_traffic_incidence(problem, crossing)
     volume_of = {t.traffic_id: t.volume for t in problem.traffic}
-    candidate_set = set(links)
     for i, link in enumerate(links):
-        crossing = tuple(incidence[link])
+        crossed_by = tuple(incidence[link])
         yield LP2Column(
             index=i,
             name=f"x[{i}]",
             kind="x",
             cost=1.0,
-            volume=float(sum(volume_of[tid] for tid in crossing)),
-            crossing=crossing,
+            volume=float(sum(volume_of[tid] for tid in crossed_by)),
+            crossing=crossed_by,
         )
     n_links = len(links)
-    for j, traffic in enumerate(problem.traffic):
+    for j, (traffic, crossed) in enumerate(zip(problem.traffic, crossing)):
         yield LP2Column(
             index=n_links + j,
             name=f"delta[{j}]",
             kind="delta",
             cost=0.0,
             volume=float(traffic.volume),
-            crossing=tuple(l for l in traffic.links if l in candidate_set),
+            crossing=tuple(crossed),
         )
 
 
-def _lp2_colgen_hints(problem: PPMProblem, form: "StandardForm") -> "ColGenHints":
+def _lp2_colgen_hints(
+    problem: PPMProblem, form: "StandardForm", crossing: Sequence[List[LinkKey]]
+) -> "ColGenHints":
     """Build :class:`repro.optim.colgen.ColGenHints` for an LP2 lowering.
 
     * **Initial columns**: the highest-volume monitorable traffics until
@@ -186,7 +202,7 @@ def _lp2_colgen_hints(problem: PPMProblem, form: "StandardForm") -> "ColGenHints
     """
     from repro.optim.colgen import ColGenHints
 
-    columns = list(lp2_column_universe(problem))
+    columns = list(lp2_column_universe(problem, crossing))
     n_links = len(problem.candidate_links)
     x_cols, delta_cols = columns[:n_links], columns[n_links:]
     usable = [col for col in delta_cols if col.crossing]
@@ -284,7 +300,8 @@ class PPMSession:
         self.problem = problem
         self.links = problem.candidate_links
         model = Model("ppm-lp2", sense="min")
-        self._x, delta = _add_compact_core(model, problem)
+        crossing = _crossing_links(problem)
+        self._x, delta = _add_compact_core(model, problem, crossing)
         model.add_constr(
             lin_sum(t.volume * delta[t.traffic_id] for t in problem.traffic)
             >= problem.required_volume,
@@ -297,9 +314,10 @@ class PPMSession:
         self._session = model.session(backend=backend, **solver_options)
         # Column-generation hints ride along on every session; they are
         # consumed only when the in-house solver decomposes the form
-        # (Internet-scale instances), and cost one pass over the traffic to
-        # build.
-        self._session.set_colgen_hints(_lp2_colgen_hints(problem, self._session.form))
+        # (Internet-scale instances), and reuse the crossing links.
+        self._session.set_colgen_hints(
+            _lp2_colgen_hints(problem, self._session.form, crossing)
+        )
 
     @property
     def solves(self) -> int:
@@ -489,7 +507,7 @@ def solve_max_coverage(
 
     model = Model("ppm-max-coverage", sense="max")
     links = problem.candidate_links
-    x, delta = _add_compact_core(model, problem)
+    x, delta = _add_compact_core(model, problem, _crossing_links(problem))
     for link in fixed:
         x[link].lb = 1.0  # already-installed devices cannot move
     model.add_constr(lin_sum(x[l] for l in links) <= max_devices, name="budget")

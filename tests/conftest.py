@@ -13,8 +13,9 @@ from repro.traffic.demands import Route
 #: Numeric cores of the in-house simplex besides the default SuperLU factor
 #: (which every unpatched test runs on when SciPy is importable), as
 #: patches of its module state: the dense LAPACK inverse (the numpy-only
-#: platform's factor), alone and with the primal loop pricing by devex at
-#: every size.
+#: platform's factor), alone and with the size rules of _DEVEX_MIN_COLS
+#: switched on at every size (the primal loop prices by devex, and the dual
+#: loop builds sparse-enough pivot rows from rho's nonzero rows).
 NUMERIC_CORES = {
     "dense-lu": {"_HAVE_SPLU": False},
     "dense-lu+devex": {"_HAVE_SPLU": False, "_DEVEX_MIN_COLS": 0},

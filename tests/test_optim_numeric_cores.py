@@ -4,9 +4,11 @@
 the default numeric core (the SuperLU factor when SciPy is importable).  This
 module collects their test classes again under the ``numeric_core`` fixture
 (``tests/conftest.py``), once on the dense LAPACK inverse -- the factor the
-numpy-only platform uses -- and once more with devex pricing forced on it, so
-every answer and every recovery rung is proven on each factor path and on
-both pricing rules.
+numpy-only platform uses -- and once more with the large-LP size rules
+forced on it (devex pricing, and dual pivot rows built from rho's nonzero
+rows where those hold at most a tenth of the stored entries), so every answer
+and every recovery rung is proven on each factor path and on both pricing
+rules.
 """
 
 import pytest

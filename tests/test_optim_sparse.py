@@ -191,6 +191,84 @@ class TestSparseMatrix:
             np.testing.assert_allclose(A.rmatvec_range(0, int(n), y), A.rmatvec(y))
             assert A.rmatvec_range(0, 0, y).size == 0
 
+    @staticmethod
+    def _row_kernel_matrix(rng, m, n):
+        """A random CSC matrix with an empty row, an empty column, explicit
+        zeros and one column of at least 9 entries (``np.add.reduceat``
+        sums segments that long pairwise)."""
+        dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.3)
+        long_col = int(rng.integers(n))
+        dense[rng.choice(m, size=max(9, m // 2), replace=False), long_col] = 1.0 + rng.random()
+        dense[int(rng.integers(m)), :] = 0.0
+        dense[:, (long_col + 1) % n] = 0.0
+        rows, cols = np.nonzero(dense)
+        zr, zc = rng.integers(m, size=3), rng.integers(n, size=3)
+        keep = dense[zr, zc] == 0.0
+        rows = np.concatenate((rows, zr[keep]))
+        cols = np.concatenate((cols, zc[keep]))
+        vals = np.concatenate((dense[np.nonzero(dense)], np.zeros(int(keep.sum()))))
+        return SparseMatrix.from_coo(rows, cols, vals, (m, n))
+
+    @staticmethod
+    def _assert_row_kernel_matches(A, y):
+        cols, vals = A.rmatvec_rows(y, A.nnz)
+        full = A.rmatvec(y)
+        stored = np.zeros(A.shape, dtype=bool)
+        stored[A.indices, A.col_ids()] = True
+        assert np.array_equal(cols, np.flatnonzero(stored[y != 0].any(axis=0)))
+        out = np.zeros(A.shape[1])
+        out[cols] = vals
+        assert np.array_equal(out, full, equal_nan=True)
+
+    def test_rmatvec_rows_is_bit_identical_to_rmatvec(self):
+        """The dual pivot-row kernel: the columns rho's nonzero rows touch
+        (explicit zeros count), summed exactly as ``rmatvec`` sums them."""
+        rng = np.random.default_rng(41)
+        for trial in range(60):
+            m = int(rng.integers(10, 300 if trial % 10 == 0 else 40))
+            n = int(rng.integers(2, 30))
+            A = self._row_kernel_matrix(rng, m, n)
+            for density in (0.0, 0.05, 0.3, 1.0):
+                y = rng.standard_normal(m) * (rng.random(m) < density)
+                self._assert_row_kernel_matches(A, y)
+
+    def test_rmatvec_rows_propagates_non_finite_y(self):
+        rng = np.random.default_rng(43)
+        for bad in (np.nan, np.inf, -np.inf):
+            A = self._row_kernel_matrix(rng, 20, 12)
+            y = rng.standard_normal(20) * (rng.random(20) < 0.2)
+            y[int(A.indices[0])] = bad  # a row holding a stored entry
+            self._assert_row_kernel_matches(A, y)
+            _, vals = A.rmatvec_rows(y, A.nnz)
+            assert not np.all(np.isfinite(vals))
+
+    def test_rmatvec_rows_follows_patches_and_appends(self):
+        rng = np.random.default_rng(47)
+        A = self._row_kernel_matrix(rng, 15, 10)
+        y = rng.standard_normal(15) * (rng.random(15) < 0.4)
+        self._assert_row_kernel_matches(A, y)  # builds the row index
+        index = A._row_index
+        row, col = int(A.indices[0]), int(A.col_ids()[0])
+        assert not A.set(row, col, 3.25)  # a data-only patch
+        assert A._row_index is index
+        self._assert_row_kernel_matches(A, y)
+        empty_col = int(np.flatnonzero(np.diff(A.indptr) == 0)[0])
+        assert A.set(int(np.flatnonzero(y)[0]), empty_col, -1.5)  # fill-in
+        self._assert_row_kernel_matches(A, y)
+        A.append_columns(self._row_kernel_matrix(rng, 15, 6))
+        assert A.shape == (15, 16)
+        self._assert_row_kernel_matches(A, y)
+
+    def test_rmatvec_rows_declines_rows_over_the_entry_budget(self):
+        A = SparseMatrix.from_dense(np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0], [5.0, 0.0, 0.0]]))
+        y = np.array([1.0, 0.0, 2.0])  # rows 0 and 2 hold 3 stored entries
+        assert A.rmatvec_rows(y, 2) is None
+        cols, vals = A.rmatvec_rows(y, 3)
+        assert cols.tolist() == [0, 1]
+        assert vals.tolist() == [11.0, 2.0]
+        cols, vals = A.rmatvec_rows(np.zeros(3), 0)
+        assert cols.size == 0 and vals.size == 0
+
     def test_gather_col_and_getitem(self):
         dense = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
         A = SparseMatrix.from_dense(dense)

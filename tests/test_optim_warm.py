@@ -7,13 +7,16 @@ re-solves that used to restart cold:
 * a patched basis that is both primal and dual infeasible (the PPME*
   controller re-solves) is repaired under shifted costs;
 * an exhausted bound-flipping ratio test proves infeasibility instead of
-  stalling into a cold solve;
+  stalling into a cold solve, and needs no FTRAN for its flips: a dual
+  iteration applies all of its flips with one FTRAN before its pivot;
 * the branch-and-bound root cut rounds migrate each round's basis across the
   appended cut rows.
 
 The dual loop's devex row weights ride in the basis token: every warm start
 continues from a private copy of its parent's weights, and a basis migrated
-across appended rows starts again from the unit reference.
+across appended rows starts again from the unit reference.  On a large LP the
+loop builds sparse pivot rows from the nonzero rows of rho; they change no
+flip or pivot.
 
 A large LP without equality rows starts from the all-slack basis through the
 same warm path; a start that stalls or fails falls back to the primal ladder
@@ -50,26 +53,100 @@ def cold_solves(monkeypatch):
     return count
 
 
-def test_exhausted_bound_flips_prove_infeasibility(cold_solves):
-    # min sum (1 + 0.1 i) x_i, x in [0, 1]^4, sum x >= 1: x_0 is basic at 1.
-    # At rhs 7.5 the dual repair flips x_1..x_3 to their upper bounds and the
-    # cover row is still short by 3.5 -- no point of the box reaches it.
+@pytest.fixture
+def dual_ftrans(monkeypatch):
+    """FTRANs made inside the dual loop: one entry per ``_dual_iterations``
+    call, plus the numerical trouble each call raised (None if none)."""
+    calls = []
+    inside = [False]
+    ftran = simplex_mod._BasisFactor.ftran
+    dual = simplex_mod._dual_iterations
+
+    def counted(self, rhs):
+        if inside[0]:
+            calls[-1][0] += 1
+        return ftran(self, rhs)
+
+    def tracked(*args, **kwargs):
+        calls.append([0, None])
+        inside[0] = True
+        try:
+            return dual(*args, **kwargs)
+        except simplex_mod._NumericalTrouble as exc:
+            calls[-1][1] = type(exc)
+            raise
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(simplex_mod._BasisFactor, "ftran", counted)
+    monkeypatch.setattr(simplex_mod, "_dual_iterations", tracked)
+    return calls
+
+
+def _short_cover(n, rhs):
+    """min sum (1 + 0.1 i) x_i over x in [0, 1]^n with sum x >= 1, solved
+    cold, then the cover row raised to ``rhs``.  The cold solve ends on a
+    degenerate vertex: x_0 at its upper bound, x_1 basic at 0.  The dual
+    repair lowers x_1 to its upper bound with one ratio test over x_2, x_3,
+    ... in that order."""
     m = Model("short-cover", sense="min")
-    xs = [m.add_var(f"x{i}", lb=0.0, ub=1.0) for i in range(4)]
+    xs = [m.add_var(f"x{i}", lb=0.0, ub=1.0) for i in range(n)]
     m.add_constr(lin_sum(xs) >= 1.0, name="cover")
     m.set_objective(lin_sum((1.0 + 0.1 * i) * x for i, x in enumerate(xs)))
     form = m.to_standard_form()
     solver = SimplexSolver(form)
     first, basis = solver.solve()
     assert first.objective == pytest.approx(1.0)
+    form.b_ub[0] = -rhs  # the cover row is lowered as -sum x <= -rhs
+    return form, solver, basis
+
+
+def test_exhausted_bound_flips_prove_infeasibility(cold_solves, dual_ftrans):
+    # At rhs 7.5 the dual repair flips x_2 and x_3 to their upper bounds and
+    # the cover row is still short by 3.5 -- no point of the box reaches it.
+    # The flips are decided from the pivot row alone: no FTRAN.
+    form, solver, basis = _short_cover(4, 7.5)
     assert cold_solves[0] == 1
-    form.b_ub[0] = -7.5  # the cover row is lowered as -sum x <= -rhs
     instr.reset()
     sol, _ = solver.solve(warm_basis=basis)
     assert sol.status is SolveStatus.INFEASIBLE
     assert instr.get("warm_repair_stalls") == 0
     assert instr.get("pivots") == 0  # no primal pivots: the proof is all dual
+    assert instr.get("dual_bound_flips") == 2
+    assert dual_ftrans == [[0, None]]
     assert cold_solves[0] == 1
+
+
+def test_bound_flips_share_one_ftran_before_the_pivot(cold_solves, dual_ftrans):
+    # At rhs 4.5 one iteration flips x_2 and x_3 to their upper bounds and
+    # pivots x_4 in at 0.5: one FTRAN moves the basic values by both flips,
+    # one FTRAN transforms the entering column.
+    form, solver, basis = _short_cover(5, 4.5)
+    instr.reset()
+    warm, _ = solver.solve(warm_basis=basis)
+    assert instr.get("dual_bound_flips") == 2
+    assert instr.get("dual_pivots") == 1
+    assert dual_ftrans == [[2, None]]
+    assert cold_solves[0] == 1
+    cold = solve_standard_form(form)
+    assert warm.status is cold.status is SolveStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert warm.objective == pytest.approx(1.0 + 1.1 + 1.2 + 1.3 + 0.5 * 1.4)
+
+
+def test_non_finite_flip_update_climbs_the_recovery_ladder(cold_solves, dual_ftrans):
+    # A NaN in the summed-flip FTRAN raises _NonFinitePivot before the pivot;
+    # the warm ladder retries on a fresh factorization and reaches the optimum.
+    form, solver, basis = _short_cover(5, 4.5)
+    instr.reset()
+    with faultinject.inject(FaultPlan(corrupt_pivots=(1,))) as armed:
+        sol, _ = solver.solve(warm_basis=basis)
+    assert armed.fired[faultinject.PIVOT_FTRAN] == 1
+    assert dual_ftrans == [[1, simplex_mod._NonFinitePivot], [2, None]]
+    assert instr.get("recovery_refactorize") == 1
+    assert cold_solves[0] == 1
+    assert sol.status is SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(solve_standard_form(form).objective, abs=1e-12)
 
 
 def test_cost_shifted_repair_matches_cold_solves(cold_solves):
@@ -159,6 +236,43 @@ def test_root_cut_rounds_solve_cold_once(cold_solves):
     assert solution.objective == pytest.approx(6.884114, abs=1e-6)
     assert instr.get("cuts_added") > 0
     assert cold_solves[0] == 1
+
+
+def _sparse_cover_lp(seed, n=500, m=200):
+    """min c x over [0, 1]^n under m ``>= 1`` rows, each column in three of
+    them: 700 canonical columns, so the slack start's dual loop may build
+    its pivot rows from rho's nonzero rows."""
+    rng = np.random.default_rng(seed)
+    model = Model(f"sparse-cover-{seed}", sense="min")
+    xs = [model.add_var(f"x{j}", lb=0.0, ub=1.0) for j in range(n)]
+    rows = [[] for _ in range(m)]
+    for j, x in enumerate(xs):
+        for r in {j % m, *rng.choice(m, size=2, replace=False)}:
+            rows[r].append(float(rng.uniform(0.5, 1.5)) * x)
+    for r, terms in enumerate(rows):
+        model.add_constr(lin_sum(terms) >= 1.0, name=f"r{r}")
+    model.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(1, 2, size=n), xs)))
+    return model.to_standard_form()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_sparse_pivot_rows_change_no_decision(seed, monkeypatch):
+    # The row-restricted pivot row is bit-identical to the full product, so
+    # the dual loop must take exactly the same flips and pivots either way.
+    form = _sparse_cover_lp(seed)
+    runs = []
+    for full_rows in (False, True):
+        if full_rows:
+            monkeypatch.setattr(simplex_mod.SparseMatrix, "rmatvec_rows", lambda self, y, budget: None)
+        instr.reset()
+        solution = solve_standard_form(form)
+        counts = {k: instr.get(k) for k in ("dual_pivots", "dual_bound_flips", "pivots", "ft_updates")}
+        runs.append((solution.status, solution.objective, solution.values, counts, instr.get("sparse_pivot_rows")))
+    (status, objective, values, counts, sparse_rows), full = runs
+    assert status is SolveStatus.OPTIMAL
+    assert sparse_rows > 0 and full[4] == 0
+    assert counts["dual_pivots"] > 0
+    assert (status, objective, values, counts) == full[:4]
 
 
 def _branching_lp(seed):

@@ -200,3 +200,44 @@ class TestPPMSessionCache:
         high = solve_ilp(problem)
         assert high.num_devices > low.num_devices
         assert high.coverage >= 0.95 - 1e-9
+
+
+class TestPPMSessionBuild:
+    """The session build reads each traffic's links once and shares them."""
+
+    @staticmethod
+    def _problem(matrix):
+        links = matrix.links
+        return PPMProblem(matrix, coverage=0.9, candidate_links=links[: 2 * len(links) // 3])
+
+    def test_build_reads_each_traffics_links_once(self, small_traffic, monkeypatch):
+        from repro.passive.ilp import PPMSession
+        from repro.traffic.demands import Traffic
+
+        problem = self._problem(small_traffic)
+        reads = [0]
+        links = Traffic.links
+
+        def counted(traffic):
+            reads[0] += 1
+            return links.fget(traffic)
+
+        monkeypatch.setattr(Traffic, "links", property(counted))
+        PPMSession(problem, backend="simplex")
+        assert reads[0] == len(problem.traffic)
+
+    def test_column_universe_follows_the_traffic_links(self, small_traffic):
+        from repro.passive.ilp import _crossing_links, lp2_column_universe
+
+        problem = self._problem(small_traffic)
+        candidates = set(problem.candidate_links)
+        columns = list(lp2_column_universe(problem, _crossing_links(problem)))
+        n_links = len(problem.candidate_links)
+        assert len(columns) == n_links + len(problem.traffic)
+        for link, col in zip(problem.candidate_links, columns[:n_links]):
+            crossing = tuple(t.traffic_id for t in problem.traffic if link in t.links)
+            assert col.crossing == crossing
+            assert col.volume == pytest.approx(sum(problem.traffic[t].volume for t in crossing))
+        for traffic, col in zip(problem.traffic, columns[n_links:]):
+            assert col.crossing == tuple(l for l in traffic.links if l in candidates)
+            assert col.volume == traffic.volume
