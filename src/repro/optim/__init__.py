@@ -55,8 +55,9 @@ CPLEX plays in the original article:
   take a backend down, jump the deadline clock);
   completely inert -- a single module-flag check -- unless a test arms a
   :class:`~repro.optim.faultinject.FaultPlan`.
-* :mod:`repro.optim.colgen` -- restricted-master column generation, which
-  the in-house backends switch to from 4,000 columns on: the master LP
+* :mod:`repro.optim.colgen` -- restricted-master column generation, an LP
+  algorithm the in-house backends switch an LP to from 4,000 columns on (a
+  MILP of any width goes to branch and bound): the master LP
   holds only the active columns (and the rows they can violate), a pricing
   oracle computes reduced costs over the full column universe in CSC
   blocks without materializing inactive columns, and a Lagrangian dual

@@ -42,13 +42,16 @@ No option picks the in-house algorithms; the size of the LP does.  The
 primal simplex prices with devex from
 :data:`repro.optim.simplex._DEVEX_MIN_COLS` canonical columns and with
 Dantzig's rule below (see :mod:`repro.optim.simplex`), and the in-house
-backends solve a lowered form by column generation from
+backends solve a lowered LP by column generation from
 :data:`repro.optim.colgen._COLGEN_MIN_COLS` columns
-(:func:`repro.optim.colgen.decomposes`).  On a :class:`SolverSession` the
-column-generation path skips presolve on purpose (presolve reindexes
-columns, which would invalidate :class:`repro.optim.colgen.ColGenHints`
-indices and in-place patches) and keeps the active column set plus warm
-basis across re-solves.
+(:func:`repro.optim.colgen.decomposes`).  Column generation solves LPs
+only: the ``simplex`` backend decomposes a wide LP relaxation, while a
+MILP of any width on ``branch-and-bound`` goes through presolve and
+:func:`repro.optim.branch_and_bound.solve_milp`.  On a
+:class:`SolverSession` the column-generation path skips presolve on purpose
+(presolve reindexes columns, which would invalidate
+:class:`repro.optim.colgen.ColGenHints` indices and in-place patches) and
+keeps the active column set plus warm basis across re-solves.
 
 ``time_limit`` (seconds, positive and finite -- anything else raises
 ``ValueError`` at option-checking time) is turned into a single
@@ -329,10 +332,8 @@ def _dispatch_form(
         )
     from repro.optim.colgen import decomposes, solve_form_colgen
 
-    if decomposes(form):
-        return solve_form_colgen(
-            form, is_mip=backend != "simplex", options=options, deadline=deadline
-        )
+    if not is_mip and decomposes(form):
+        return solve_form_colgen(form, options=options, deadline=deadline)
     if backend == "simplex":
         from repro.optim.simplex import solve_standard_form
 
@@ -524,8 +525,8 @@ class SolverSession:
         """Install model-specific column-generation hints for this session.
 
         The hints (initial columns, expansion order, dual completion -- see
-        :class:`repro.optim.colgen.ColGenHints`) are consumed when the form
-        is wide enough to decompose (:func:`repro.optim.colgen.decomposes`)
+        :class:`repro.optim.colgen.ColGenHints`) are consumed when an LP's
+        form is wide enough to decompose (:func:`repro.optim.colgen.decomposes`)
         and are indexed against this session's *unpresolved* lowered form,
         which is why the session column-generation path never runs presolve.
         Installing new hints discards the current decomposition state
@@ -625,9 +626,7 @@ class SolverSession:
         return analysis.enforce(self.form, effective, label=self.model.name)
 
     # -- solving -----------------------------------------------------------
-    def _solve_colgen(
-        self, merged: Dict[str, Any], is_mip: bool, deadline: Optional[Deadline]
-    ) -> Solution:
+    def _solve_colgen(self, merged: Dict[str, Any], deadline: Optional[Deadline]) -> Solution:
         """Column-generation path: one driver kept across re-solves.
 
         The :class:`repro.optim.colgen.ColumnGeneration` driver stays alive
@@ -639,18 +638,13 @@ class SolverSession:
 
         if self._colgen is None:
             self._colgen = ColumnGeneration(
-                self.form,
-                hints=self._colgen_hints,
-                is_mip=is_mip,
-                max_iter=merged.get("max_iter"),
+                self.form, hints=self._colgen_hints, max_iter=merged.get("max_iter")
             )
         else:
             self._colgen.max_iter = merged.get("max_iter")
         if self._coeffs_dirty:
             self._colgen.refresh_data()
         self._coeffs_dirty = False
-        if is_mip:
-            return self._colgen.solve_mip(deadline=deadline, mip_options=merged)
         return self._colgen.solve_lp(deadline=deadline)
 
     def _solve_warm(self, merged: Dict[str, Any], deadline: Optional[Deadline]) -> Solution:
@@ -678,8 +672,8 @@ class SolverSession:
     def _solve_in_house(self, merged: Dict[str, Any], decompose: bool) -> Solution:
         """Re-solve on the state the session keeps, failing over on error.
 
-        Both in-house paths patch the unpresolved form in place, so neither
-        runs presolve.  With ``fallback="auto"`` a failure hands the form to
+        Both in-house paths solve an LP and patch the unpresolved form in
+        place, so neither runs presolve.  With ``fallback="auto"`` a failure hands the form to
         the failover chain under the same deadline.  The chain only reads
         the session's form, so the kept state (patched matrices, stored
         basis, active columns) survives and a later solve() starts warm.
@@ -688,19 +682,16 @@ class SolverSession:
         fallback_mode = _pop_fallback_mode(merged)
         time_limit = merged.pop("time_limit", None)
         deadline = Deadline(time_limit) if time_limit is not None else None
-        is_mip = self._is_mip and self.backend != "simplex"
         try:
             if faultinject.ACTIVE:
                 faultinject.maybe_fail_backend(self.backend, SolverError)
             if decompose:
-                return self._solve_colgen(merged, is_mip, deadline)
+                return self._solve_colgen(merged, deadline)
             return self._solve_warm(merged, deadline)
         except SolverError as exc:
             if fallback_mode != "auto":
                 raise
-            return _run_with_failover(
-                self.form, is_mip, self.backend, merged, deadline, failed=exc
-            )
+            return _run_with_failover(self.form, False, self.backend, merged, deadline, failed=exc)
 
     def solve(self, raise_on_infeasible: bool = False, **options: Any) -> Solution:
         """Re-solve against the current (patched) matrices.
@@ -717,7 +708,8 @@ class SolverSession:
         check_mode = _pop_check_mode(merged)
         analysis.enforce(self.form, check_mode, label=self.model.name)
 
-        if self.backend != "scipy" and decomposes(self.form):
+        is_mip = self._is_mip and self.backend != "simplex"
+        if self.backend != "scipy" and not is_mip and decomposes(self.form):
             solution = self._solve_in_house(merged, decompose=True)
         elif self.backend == "simplex" and not self._is_mip:
             solution = self._solve_in_house(merged, decompose=False)

@@ -295,7 +295,6 @@ def solve_milp(
     gap_tol: float = 1e-9,
     mip_gap: Optional[float] = None,
     max_iter: Optional[int] = None,
-    time_limit: Optional[float] = None,
     cuts: str = "auto",
     max_cut_rounds: int = 5,
     deadline: Optional[Deadline] = None,
@@ -320,14 +319,11 @@ def solve_milp(
         incumbent are fathomed (same semantics as HiGHS ``mip_rel_gap``).
     max_iter:
         Optional simplex iteration limit forwarded to every node LP solve.
-    time_limit:
-        Optional wall-clock limit in seconds; a convenience that constructs
-        a fresh :class:`~repro.optim.resilience.Deadline`.
     deadline:
         Optional already-running deadline shared with the caller (e.g. the
-        backend dispatcher, which starts the clock before presolve).  Takes
-        precedence over ``time_limit``; both propagate into node LP pivots,
-        root cut separation and strong-branching probes.
+        backend dispatcher, which starts the clock before presolve, or
+        ``Deadline(seconds)`` for a direct call).  It propagates into node
+        LP pivots, root cut separation and strong-branching probes.
     cuts:
         ``"auto"`` (default) enables the root cutting-plane loop and
         per-node reduced-cost fixing; ``"off"`` disables both (used by the
@@ -349,8 +345,6 @@ def solve_milp(
     """
     if cuts not in ("auto", "off"):
         raise SolverError(f"cuts must be 'auto' or 'off', got {cuts!r}")
-    if deadline is None and time_limit is not None:
-        deadline = Deadline(time_limit)
     sign = -1.0 if form.maximize else 1.0
     root_warm: Optional[_Basis] = None
     if cuts == "auto" and np.any(np.asarray(form.integrality, dtype=bool)):

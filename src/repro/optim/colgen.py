@@ -8,7 +8,11 @@ is the wrong shape: the paper's coverage LPs are solved by a small working
 set of columns, and the rest exist only to be priced out.
 
 This module implements the decomposition the in-house backends switch to
-once a lowered form is wide enough (:func:`decomposes`):
+once a lowered LP is wide enough (:func:`decomposes`).  It is an LP
+algorithm: the dispatcher never decomposes a MILP, so a wide MILP goes
+through presolve and :func:`repro.optim.branch_and_bound.solve_milp` like
+every narrower one, while the ``simplex`` backend still decomposes wide LP
+relaxations.  The decomposition has four parts:
 
 * **Restricted master.**  A :class:`~repro.optim.model.StandardForm` slice
   holding only the *active* columns and the *active* inequality rows.  A
@@ -44,23 +48,17 @@ once a lowered form is wide enough (:func:`decomposes`):
   non-basic at a bound, appended rows enter with their slack basic), and
   the usual warm-start machinery (primal resume or dual repair) takes it
   from there.
-* **Integer completion ("price-and-branch-lite").**  After the LP loop
-  converges, :meth:`ColumnGeneration.solve_mip` runs the existing
-  cut-and-branch solver over the final restricted master.  The combined
-  point is feasible for the full MILP by the row-activity argument above;
-  optimality is *claimed* only when the integer objective meets the
-  Lagrangian LP bound (integral-objective rounding argument or the
-  ``mip_gap`` / ``gap_tol`` tolerances) -- otherwise the solution reports
-  ``FEASIBLE`` with the honest remaining gap.
 
 Invariants shared with the rest of the stack: at most one ``Deadline``
 exists per solve and is threaded through every master solve and pricing
 round (never re-created); no wall-clock reads outside
 :mod:`repro.optim.resilience` (lint rule SOLV005); the full form's arrays
 are treated as read-only here -- every master is built into fresh arrays
-(lint rule SOLV004).  Recovery from an injected/ambient corrupted pricing
-block (``corrupt_pricing`` fault site) re-runs the pricing pass once and is
-counted as the ``recovery_reprice`` rung.
+(lint rule SOLV004).  A pricing pass that produces a non-finite reduced
+cost (the ``corrupt_pricing`` fault site) raises
+:class:`~repro.optim.errors.SolverError` at once: re-pricing the same duals
+against the same matrix would only repeat it, so the ``fallback="auto"``
+failover chain takes over.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ from repro.optim import instrumentation as instr
 from repro.optim._types import BoolArray, FloatArray, IntArray
 from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.model import StandardForm
-from repro.optim.resilience import Deadline, record_rung
+from repro.optim.resilience import Deadline
 from repro.optim.simplex import WarmStart, resolve_appended
 from repro.optim.solution import Solution, SolveStatus
 from repro.optim.sparse import SparseMatrix
@@ -113,10 +111,11 @@ _EXPAND_CHUNK = 256
 
 
 def decomposes(form: StandardForm) -> bool:
-    """Whether the in-house backends solve ``form`` by column generation.
+    """Whether ``form`` is wide enough for column generation.
 
-    They do from :data:`_COLGEN_MIN_COLS` columns on; narrower forms are
-    solved monolithically.
+    The in-house backends decompose an LP (or the ``simplex`` backend's LP
+    relaxation) from :data:`_COLGEN_MIN_COLS` columns on; narrower LPs and
+    every MILP are solved monolithically.
     """
     return form.num_vars >= _COLGEN_MIN_COLS
 
@@ -182,8 +181,7 @@ class ColumnGeneration:
     which must be followed by :meth:`refresh_data`.
 
     The *rest point* of an inactive column is the feasible value closest to
-    zero (``clip(0, lb, ub)``, rounded to an integral point for integer
-    variables in MIP mode); master right-hand sides and the objective
+    zero (``clip(0, lb, ub)``); master right-hand sides and the objective
     offset absorb the rest contributions, so the master is exactly the full
     problem with inactive columns fixed at rest.
     """
@@ -192,12 +190,10 @@ class ColumnGeneration:
         self,
         form: StandardForm,
         hints: Optional[ColGenHints] = None,
-        is_mip: bool = False,
         max_iter: Optional[int] = None,
     ) -> None:
         self.form = form
         self.hints = hints or ColGenHints()
-        self.is_mip = is_mip
         self.max_iter = max_iter
         self._A_ub = form.A_ub
         self._A_eq = form.A_eq
@@ -209,7 +205,6 @@ class ColumnGeneration:
         self.active_ub: List[int] = []
         self.active_ub_mask: BoolArray = np.zeros(self.m_ub, dtype=bool)
         self._warm: Optional[WarmStart] = None
-        self._master: Optional[StandardForm] = None
         self._master_A_ub: Optional[SparseMatrix] = None
         self._master_A_eq: Optional[SparseMatrix] = None
         self._built_cols = 0
@@ -237,26 +232,10 @@ class ColumnGeneration:
         """
         self._matrices_dirty = True
 
-    def _compute_rest(self) -> FloatArray:
-        lb, ub = self.form.lb, self.form.ub
-        rest = np.clip(np.zeros(self.n), lb, ub)
-        if self.is_mip:
-            integral = np.asarray(self.form.integrality, dtype=float) > 0
-            if integral.any():
-                lo_int = np.ceil(lb[integral] - 1e-9)
-                hi_int = np.floor(ub[integral] + 1e-9)
-                ok = lo_int <= hi_int
-                fixed = np.clip(np.zeros(int(integral.sum())), lo_int, hi_int)
-                # Integer-infeasible windows keep the continuous rest; if
-                # such a column ever matters the master surfaces the
-                # infeasibility honestly.
-                rest[np.flatnonzero(integral)[ok]] = fixed[ok]
-        return rest
-
     def _recompute_aggregates(self) -> None:
         """Rebuild rest point and row-activity budgets from current data."""
         form = self.form
-        self._rest = rest = self._compute_rest()
+        self._rest = rest = np.clip(np.zeros(self.n), form.lb, form.ub)
         inactive = ~self.active_mask
         rest_masked = np.where(inactive, rest, 0.0)
         self._rest_act_ub = self._A_ub.matvec(rest_masked)
@@ -330,10 +309,6 @@ class ColumnGeneration:
             instr.add("columns_added", added)
         return added
 
-    def _activate_everything(self) -> None:
-        remaining = np.flatnonzero(~self.active_mask)
-        self._activate_columns(remaining)
-
     # -- restricted master -------------------------------------------------
     def _ub_block(self, cols: Sequence[int], row_pos: IntArray) -> SparseMatrix:
         """Active-row slice of the ``<=`` block for the given columns."""
@@ -376,7 +351,7 @@ class ColumnGeneration:
         self._built_cols = len(self.active_cols)
         self._built_ub = len(self.active_ub)
 
-        master = StandardForm(
+        return StandardForm(
             c=form.c[act_cols].copy(),
             A_ub=self._master_A_ub,
             b_ub=form.b_ub[act_ub] - self._rest_act_ub[act_ub],
@@ -389,8 +364,6 @@ class ColumnGeneration:
             objective_offset=form.objective_offset + self._rest_cost,
             maximize=form.maximize,
         )
-        self._master = master
-        return master
 
     def _solve_master(
         self, master: StandardForm, deadline: Optional[Deadline]
@@ -423,7 +396,10 @@ class ColumnGeneration:
         return y
 
     def _price(self, y: FloatArray) -> FloatArray:
-        """Reduced costs over the full column universe, in CSC blocks."""
+        """Reduced costs over the full column universe, in CSC blocks.
+
+        Raises :class:`SolverError` when a reduced cost is not finite.
+        """
         c = self.form.c
         y_ub = y[: self.m_ub]
         y_eq = y[self.m_ub :]
@@ -437,21 +413,8 @@ class ColumnGeneration:
                 blk = faultinject.corrupt_vector(faultinject.PRICING, blk)
             d[lo:hi] = blk
             instr.add("columns_priced", hi - lo)
-        return d
-
-    def _price_resilient(self, y: FloatArray) -> FloatArray:
-        d = self._price(y)
         if not bool(np.isfinite(d).all()):
-            record_rung(
-                "reprice",
-                "pricing produced non-finite reduced costs; re-running the pass",
-            )
-            d = self._price(y)
-            if not bool(np.isfinite(d).all()):
-                raise SolverError(
-                    "column-generation pricing produced non-finite reduced "
-                    "costs twice in a row"
-                )
+            raise SolverError("column-generation pricing produced non-finite reduced costs")
         return d
 
     def _lagrangian_bound(self, y: FloatArray, d: FloatArray) -> float:
@@ -649,7 +612,7 @@ class ColumnGeneration:
 
             x = self._full_point(solution)
             y = self._dual_vector(solution)
-            d = self._price_resilient(y)
+            d = self._price(y)
             bound = self._lagrangian_bound(y, d)
             self.best_bound = max(self.best_bound, bound)
             z_min = self._z_min(solution)
@@ -694,111 +657,18 @@ class ColumnGeneration:
             )
         return self._bare(SolveStatus.ITERATION_LIMIT)
 
-    def solve_mip(
-        self,
-        deadline: Optional[Deadline] = None,
-        mip_options: Optional[Dict[str, Any]] = None,
-    ) -> Solution:
-        """Price-and-branch-lite: LP column generation, then B&B on the master.
-
-        The final restricted master (with its integrality markers) goes to
-        the existing cut-and-branch solver; the combined point -- master
-        optimum plus inactive columns at rest -- is feasible for the full
-        MILP by the row-activity argument.  Optimality is claimed only when
-        the integer objective meets the Lagrangian LP bound (exactly for
-        integral objectives, or within ``gap_tol`` / ``mip_gap``);
-        otherwise the honest remaining gap is reported with ``FEASIBLE``.
-        """
-        from repro.optim.branch_and_bound import solve_milp
-
-        opts = dict(mip_options or {})
-        lp_solution = self.solve_lp(deadline=deadline)
-        if lp_solution.status in (
-            SolveStatus.INFEASIBLE,
-            SolveStatus.UNBOUNDED,
-            SolveStatus.TIME_LIMIT,
-        ):
-            return lp_solution
-        master = self._master
-        if master is None:  # pragma: no cover - solve_lp always builds one
-            raise InternalSolverError("column generation finished without a master")
-
-        def run(form: StandardForm) -> Solution:
-            """Cut-and-branch over one restricted master, options forwarded."""
-            return solve_milp(
-                form,
-                max_nodes=opts.get("max_nodes", 100_000),
-                gap_tol=opts.get("gap_tol", 1e-9),
-                mip_gap=opts.get("mip_gap"),
-                max_iter=opts.get("max_iter"),
-                cuts=opts.get("cuts", "auto"),
-                max_cut_rounds=opts.get("max_cut_rounds", 5),
-                deadline=deadline,
-            )
-
-        mip_solution = run(master)
-        if mip_solution.status is SolveStatus.INFEASIBLE and not bool(
-            self.active_mask.all()
-        ):
-            # The restriction can be integer-infeasible even when the full
-            # problem is not; fall back to the full column set (still minus
-            # provably redundant rows), which is exact.
-            self._activate_everything()
-            self._recompute_aggregates()
-            self._activate_forced_rows()
-            mip_solution = run(self._build_master())
-        if mip_solution.status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
-            return self._bare(mip_solution.status)
-        if mip_solution.objective is None or not mip_solution.values:
-            return self._bare(mip_solution.status)
-        self._iterations += mip_solution.iterations
-
-        x = self._full_point(mip_solution)
-        z_min = self._z_min(mip_solution)
-        gap = self._relative_gap(z_min)
-        status = mip_solution.status
-        if status is SolveStatus.OPTIMAL:
-            if self._integral_objective() and z_min - self.best_bound < 1.0 - 1e-6:
-                # The true optimum is an integer between the LP bound and
-                # the incumbent; there is no room for a better one.
-                gap = 0.0
-            elif gap <= float(opts.get("mip_gap") or 0.0) or (
-                z_min - self.best_bound <= float(opts.get("gap_tol", 1e-9))
-            ):
-                gap = 0.0
-            else:
-                status = SolveStatus.FEASIBLE
-        self._record_gap(gap)
-        return self._package(x, status, gap, None, None)
-
-    def _integral_objective(self) -> bool:
-        c = self.form.c
-        integral = np.asarray(self.form.integrality, dtype=float) > 0
-        relevant = c != 0.0
-        return bool(
-            np.all(integral[relevant])
-            and np.allclose(c[relevant], np.round(c[relevant]))
-            and float(self.form.objective_offset) == round(self.form.objective_offset)
-        )
-
 
 def solve_form_colgen(
     form: StandardForm,
-    is_mip: bool,
     options: Dict[str, Any],
     deadline: Optional[Deadline] = None,
-    hints: Optional[ColGenHints] = None,
 ) -> Solution:
-    """One-shot column-generation solve of a lowered form.
+    """One-shot column-generation solve of a lowered LP.
 
     This is the entry point :mod:`repro.optim.backend` dispatches to when
-    :func:`decomposes` holds for the form; sessions keep a
+    an LP's form :func:`decomposes`; sessions keep a
     :class:`ColumnGeneration` instance instead, to preserve the active set
     and warm basis across re-solves.
     """
-    driver = ColumnGeneration(
-        form, hints=hints, is_mip=is_mip, max_iter=options.get("max_iter")
-    )
-    if is_mip:
-        return driver.solve_mip(deadline=deadline, mip_options=options)
+    driver = ColumnGeneration(form, max_iter=options.get("max_iter"))
     return driver.solve_lp(deadline=deadline)

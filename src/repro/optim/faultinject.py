@@ -83,7 +83,7 @@ class FaultPlan:
     All occurrence indices are 1-based and count events *within one*
     :func:`inject` context, so a plan composes with the instrumentation
     counters: "fail factorizations 1 and 2" drives the perturbation rung
-    first and the Bland rung second, regardless of machine or timing.
+    first and the bound-shift rung second, regardless of machine or timing.
     """
 
     #: Basis factorizations (by occurrence) that raise ``_SingularBasis``.
@@ -99,8 +99,8 @@ class FaultPlan:
     #: Warm-start dual repairs (by occurrence) forced to report a stall.
     stall_warm_repairs: Tuple[int, ...] = ()
     #: Column-generation pricing blocks (by occurrence) that get a NaN
-    #: written into the freshly-computed reduced-cost slice, driving the
-    #: colgen re-price recovery rung.
+    #: written into the freshly-computed reduced-cost slice; the pricing
+    #: pass then raises ``SolverError``.
     corrupt_pricing: Tuple[int, ...] = ()
     #: Backend names whose dispatch raises while the plan is armed.
     fail_backends: Tuple[str, ...] = ()

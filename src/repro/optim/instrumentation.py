@@ -58,7 +58,6 @@ COUNTER_NAMES = (
     "recovery_shift_fallback",  # proactive bound-shift solves that fell back to exact bounds
     "recovery_slack_fallback",  # all-slack dual cold starts that fell back to the primal ladder
     "recovery_bland",        # forced-Bland-pricing retries
-    "recovery_cold_restart", # last-ditch cold two-phase restarts
     "backend_failovers",     # fallback="auto" hops to another backend
     "greedy_degradations",   # fallback="auto" solves finished by the greedy rung
     "deadline_expiries",     # solves that returned TIME_LIMIT on an expired Deadline
@@ -68,7 +67,6 @@ COUNTER_NAMES = (
     "colgen_rows_activated", # dropped rows activated into the restricted master
     "master_resolves",       # restricted-master LP solves (warm or cold)
     "lagrangian_bound_gap",  # final colgen primal-dual gap, parts-per-million (max)
-    "recovery_reprice",      # pricing passes re-run after a corrupted reduced-cost block
 )
 
 _counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}

@@ -124,10 +124,8 @@ _RUNG_COUNTERS = {
     "shift-fallback": "recovery_shift_fallback",
     "slack-fallback": "recovery_slack_fallback",
     "bland": "recovery_bland",
-    "cold-restart": "recovery_cold_restart",
     "failover": "backend_failovers",
     "greedy": "greedy_degradations",
-    "reprice": "recovery_reprice",
 }
 
 

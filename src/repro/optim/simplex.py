@@ -285,10 +285,9 @@ def _slack_basis(lp: _CanonicalLP) -> _Basis:
     return _Basis(slacks, vstat, np.ones(lp.m), lp.m, lp.n, lp.free_mask.copy())
 
 
-def _basis_compatible(basis: Optional[_Basis], lp: _CanonicalLP) -> bool:
+def _basis_compatible(basis: _Basis, lp: _CanonicalLP) -> bool:
     return (
-        basis is not None
-        and basis.n_rows == lp.m
+        basis.n_rows == lp.m
         and basis.n_cols == lp.n
         and basis.basis.size == lp.m
         and np.array_equal(basis.free_mask, lp.free_mask)
@@ -381,9 +380,11 @@ class _NumericalTrouble(Exception):
     """Base of recoverable numerical failures inside the simplex.
 
     :meth:`SimplexSolver.solve` catches this hierarchy and walks the
-    recovery ladder (refactorize -> cost perturbation -> bound shift ->
-    Bland pricing -> cold restart) instead of surfacing an
-    :class:`InternalSolverError`.
+    recovery ladder (refactorize, for a warm start that resumed a stored
+    factor -> cost perturbation -> bound shift -> Bland pricing) instead of
+    surfacing an :class:`InternalSolverError`.  No rung repeats an earlier
+    computation: the solves are deterministic, so a repeat would fail the
+    same way.
     """
 
 
@@ -1211,6 +1212,16 @@ def _cold_solve(
     return _finish_primal(state, max_iter, phase1_iters, deadline=deadline, bland=bland)
 
 
+def _resumable(token: _Basis, lp: _CanonicalLP) -> bool:
+    """Whether a warm start from ``token`` resumes its stored factorization.
+
+    It does when the token carries a factor of this very lowering that has
+    room for more updates; otherwise :func:`_warm_solve` factorizes afresh.
+    """
+    factor = token.factor
+    return factor is not None and factor.stamp == lp.stamp and not factor.needs_refactor()
+
+
 def _warm_solve(
     lp: _CanonicalLP,
     token: _Basis,
@@ -1257,12 +1268,7 @@ def _warm_solve(
     state = _State(lp, basis, vstat, art_sign, lower_ext, upper_ext)
     if token.row_weights is not None:
         state.row_weights = token.row_weights.copy()
-    if (
-        not fresh_factor
-        and token.factor is not None
-        and token.factor.stamp == lp.stamp
-        and not token.factor.needs_refactor()
-    ):
+    if token.factor is not None and not fresh_factor and _resumable(token, lp):
         # Resume on the parent's factorization: shared LU base, private
         # eta file.  The residual check below still guards against drift
         # accumulated across warm-start generations.
@@ -1529,16 +1535,17 @@ def _cold_solve_resilient(
     Rungs, in order: plain cold solve -> deterministic cost perturbation
     (with post-solve unperturbation) -> deterministic bound shifting (with
     post-solve repair; the rung that actually removes primal-degenerate
-    stalling) -> forced Bland pricing -> one last plain cold restart
-    (catches transient failures, e.g. an injected or environmental
-    one-off).  Each rung is counted in instrumentation and surfaced as a
-    Diagnostic; only when every rung fails does the solve raise
-    ``SolverError``.
+    stalling) -> forced Bland pricing.  Each rung is counted in
+    instrumentation and surfaced as a Diagnostic; when Bland pricing fails
+    too, the solve raises ``SolverError``.  Every rung computes something
+    new: the solves are deterministic, so re-running one would only repeat
+    its failure.
 
     From :data:`_SHIFT_PROACTIVE_COLS` columns on the first rung is the
     bound-shifted solve itself (the placement LPs stall almost surely on
-    exact bounds there); such LPs get here with equality rows, or when a
-    warm start or the all-slack start falls back.
+    exact bounds there), and the reactive bound-shift rung is skipped: it
+    would re-run that solve with the same seed.  Such LPs get here with
+    equality rows, or when a warm start or the all-slack start falls back.
     """
     if lp.n >= _SHIFT_PROACTIVE_COLS:
         try:
@@ -1558,8 +1565,8 @@ def _cold_solve_resilient(
     try:
         return _cold_solve(lp, max_iter, deadline=deadline)
     except _DegenerateStall as exc:
-        # Cost jitter cannot remove zero-length steps; jump straight to
-        # the bound-shift rung.
+        # Cost jitter cannot remove zero-length steps; skip the
+        # perturbation rung.
         failure = exc
     except _NumericalTrouble as exc:
         failure = exc
@@ -1570,21 +1577,17 @@ def _cold_solve_resilient(
                 return result
         except _NumericalTrouble as exc2:
             failure = exc2
-    record_rung("bound-shift", f"cold solve failed ({failure}); retrying with shifted bounds")
-    try:
-        result = _bound_shifted_solve(lp, max_iter, deadline)
-        if result is not None:
-            return result
-    except _NumericalTrouble as exc:
-        failure = exc
-    record_rung("bland", f"bound-shift retry failed ({failure}); retrying with Bland pricing")
+    if lp.n < _SHIFT_PROACTIVE_COLS:
+        record_rung("bound-shift", f"cold solve failed ({failure}); retrying with shifted bounds")
+        try:
+            result = _bound_shifted_solve(lp, max_iter, deadline)
+            if result is not None:
+                return result
+        except _NumericalTrouble as exc:
+            failure = exc
+    record_rung("bland", f"earlier rungs failed ({failure}); retrying with Bland pricing")
     try:
         return _cold_solve(lp, max_iter, deadline=deadline, bland=True)
-    except _NumericalTrouble as exc:
-        failure = exc
-    record_rung("cold-restart", f"Bland retry failed ({failure}); one last cold restart")
-    try:
-        return _cold_solve(lp, max_iter, deadline=deadline)
     except _NumericalTrouble as exc:
         raise SolverError(
             f"simplex could not recover from numerical failure: {exc}"
@@ -1661,21 +1664,22 @@ class SimplexSolver:
         lp = self._ensure_canonical(lb, ub)
 
         result = None
-        if _basis_compatible(warm_basis, lp):
+        if warm_basis is not None and _basis_compatible(warm_basis, lp):
             try:
                 result = _warm_solve(lp, warm_basis, limit, deadline=deadline)
             except _NumericalTrouble as exc:
-                record_rung(
-                    "refactorize",
-                    f"warm solve hit numerical trouble ({exc}); "
-                    "retrying on a fresh factorization",
-                )
-                try:
-                    result = _warm_solve(
-                        lp, warm_basis, limit, deadline=deadline, fresh_factor=True
+                # A token without a resumable factor was factorized fresh by
+                # this attempt: a retry would repeat the same work.
+                if _resumable(warm_basis, lp):
+                    record_rung(
+                        "refactorize",
+                        f"warm solve hit numerical trouble ({exc}); "
+                        "retrying on a fresh factorization",
                     )
-                except _NumericalTrouble:
-                    result = None
+                    try:
+                        result = _warm_solve(lp, warm_basis, limit, deadline=deadline, fresh_factor=True)
+                    except _NumericalTrouble:
+                        pass
         elif lp.n >= _SLACK_START_MIN_COLS and lp.m == lp.n_ub:
             # The slack basis is factorized from scratch: no refactorize retry.
             slack = _slack_basis(lp)

@@ -1,9 +1,10 @@
 """Tests for the doc-sync linter (``tools/check_docs.py``).
 
 The linter introspects ``BACKEND_OPTIONS`` and ``COUNTER_NAMES`` and fails
-when the reference tables in ``docs/`` miss a name.  The real tree must be
-in sync, and a doctored copy with a deliberately undocumented option (or
-counter) must fail -- otherwise the CI gate is vacuous.
+when the reference tables in ``docs/`` miss a name or list one the code no
+longer has.  The real tree must be in sync, and a doctored copy with a
+deliberately undocumented (or stale) option or counter must fail --
+otherwise the CI gate is vacuous.
 """
 
 from __future__ import annotations
@@ -31,6 +32,18 @@ def _doctored_docs(tmp_path: Path, file_name: str, name: str) -> Path:
     doctored = re.sub(rf"`{re.escape(name)}`", "(redacted)", text)
     assert doctored != text, f"expected {file_name} to reference `{name}`"
     target.write_text(doctored, encoding="utf-8")
+    return docs
+
+
+def _docs_with_row(tmp_path: Path, file_name: str, after: str, row: str) -> Path:
+    """A copy of docs/ with ``row`` inserted below the line starting ``after``."""
+    docs = tmp_path / "docs"
+    shutil.copytree(DOCS_DIR, docs)
+    target = docs / file_name
+    lines = target.read_text(encoding="utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(after))
+    lines.insert(at + 1, row)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return docs
 
 
@@ -62,6 +75,38 @@ class TestDoctoredTree:
         docs = _doctored_docs(tmp_path, "instrumentation.md", "colgen_rounds")
         findings = check_docs(docs)
         assert any("`colgen_rounds`" in f for f in findings)
+
+    def test_stale_counter_fails(self, tmp_path):
+        docs = _docs_with_row(
+            tmp_path,
+            "instrumentation.md",
+            "| `recovery_bland` |",
+            "| `recovery_gone` | old | A rung the code no longer has. |",
+        )
+        findings = check_docs(docs)
+        assert findings == [
+            f"{docs / 'instrumentation.md'}: `recovery_gone` is documented but no longer exists"
+        ]
+        assert main(["--docs-dir", str(docs)]) == 1
+
+    def test_stale_option_fails(self, tmp_path):
+        docs = _docs_with_row(
+            tmp_path,
+            "solver-options.md",
+            "| `cuts` |",
+            "| `pricing` | `\"devex\"` | simplex | An option the code no longer has. |",
+        )
+        # Only the Options table lists options: a row of the same file's
+        # environment-variable table is no stale option.
+        target = docs / "solver-options.md"
+        text = target.read_text(encoding="utf-8")
+        row = "| `REPRO_BENCH_NO_PERSIST` |"
+        target.write_text(text.replace(row, "| `REPRO_BENCH_OTHER` | Another. |\n" + row))
+        findings = check_docs(docs)
+        assert findings == [
+            f"{docs / 'solver-options.md'}: `pricing` is documented but no longer exists"
+        ]
+        assert main(["--docs-dir", str(docs)]) == 1
 
     def test_missing_doc_file_fails(self, tmp_path):
         docs = tmp_path / "docs"

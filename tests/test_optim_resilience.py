@@ -10,6 +10,7 @@ change the mathematics, only survive the environment.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,11 +171,6 @@ class TestRecoveryLadder:
                 "recovery_bound_shift",
             ),
             (FaultPlan(fail_factorizations=(1, 2, 3)), "bland", "recovery_bland"),
-            (
-                FaultPlan(fail_factorizations=(1, 2, 3, 4)),
-                "cold-restart",
-                "recovery_cold_restart",
-            ),
             (FaultPlan(corrupt_pivots=(1,)), "perturb", "recovery_perturb"),
         ],
     )
@@ -188,14 +184,45 @@ class TestRecoveryLadder:
         assert f"resilience-{rung}" in _rung_rules()
 
     def test_exhausted_ladder_raises(self):
-        with faultinject.inject(FaultPlan(fail_factorizations=(1, 2, 3, 4, 5))):
+        # One failed factorization per rung: exact, perturbed, shifted, Bland.
+        plan = FaultPlan(fail_factorizations=(1, 2, 3, 4))
+        with faultinject.inject(plan) as armed:
             with pytest.raises(SolverError, match="could not recover"):
                 solve_standard_form(_lp_form())
-        # Every rung was counted on the way down.
+        assert armed.fired[faultinject.FACTORIZE] == 4
+        # Every rung ran once on the way down.
+        assert _rung_rules() == [
+            "resilience-perturb",
+            "resilience-bound-shift",
+            "resilience-bland",
+        ]
         assert instr.get("recovery_perturb") == 1
         assert instr.get("recovery_bound_shift") == 1
         assert instr.get("recovery_bland") == 1
-        assert instr.get("recovery_cold_restart") == 1
+
+    def test_large_lp_skips_the_repeated_bound_shift(self):
+        # From _SHIFT_PROACTIVE_COLS columns the ladder opens with the
+        # bound-shifted solve, so its reactive rerun (same seed) is skipped:
+        # factorizations 1-3 fail the proactive shift, the exact solve and
+        # the perturbed solve, and Bland pricing answers.
+        rng = np.random.default_rng(610)
+        model = Model("wide-eq")
+        xs = [model.add_var(f"x{j}", ub=1.0) for j in range(610)]
+        model.add_constr(lin_sum(xs) == 5, "pick")
+        model.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(1, 2, 610), xs)))
+        form = model.to_standard_form()
+        clean = solve_standard_form(form)
+        assert clean.status is SolveStatus.OPTIMAL
+        instr.reset()
+        with faultinject.inject(FaultPlan(fail_factorizations=(1, 2, 3))) as armed:
+            faulted = solve_standard_form(form)
+        assert armed.fired[faultinject.FACTORIZE] == 3
+        assert faulted.status is SolveStatus.OPTIMAL
+        assert faulted.objective == pytest.approx(clean.objective)
+        assert instr.get("recovery_shift_fallback") == 1
+        assert instr.get("recovery_perturb") == 1
+        assert instr.get("recovery_bound_shift") == 0
+        assert instr.get("recovery_bland") == 1
 
     def test_corrupt_spike_recovers_unchanged(self):
         """A poisoned Forrest-Tomlin spike must be survived, not believed.
@@ -228,6 +255,22 @@ class TestRecoveryLadder:
         assert armed.fired[faultinject.PIVOT_FTRAN] == 1
         assert instr.get("recovery_refactorize") == 1
         assert "resilience-refactorize" in _rung_rules()
+
+    def test_fresh_token_skips_the_refactorize_rung(self):
+        # A token without a stored factor was factorized fresh by the warm
+        # attempt itself, so a refactorize retry would repeat that work:
+        # the failure goes straight to the cold ladder.
+        form = _lp_form()
+        solver = SimplexSolver(form)
+        _, basis = solver.solve()
+        form.b_ub[0] = -5.0
+        with faultinject.inject(FaultPlan(corrupt_pivots=(1,))) as armed:
+            sol, _ = solver.solve(warm_basis=replace(basis, factor=None))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(10.0)
+        assert armed.fired[faultinject.PIVOT_FTRAN] == 1
+        assert instr.get("recovery_refactorize") == 0
+        assert "resilience-refactorize" not in _rung_rules()
 
     def test_warm_repair_stall_falls_back_cold(self):
         form = _lp_form()
@@ -299,7 +342,7 @@ class TestDeadlinePropagation:
     def test_branch_and_bound_deadline_is_time_limit_not_node_limit(self):
         form = _mip_model().to_standard_form()
         with faultinject.inject(FaultPlan(jump_clock_after=1)):
-            sol = solve_milp(form, time_limit=3600.0)
+            sol = solve_milp(form, deadline=Deadline(3600.0))
         assert sol.status is SolveStatus.TIME_LIMIT
 
     def test_backend_dispatch_threads_deadline(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.optim import (
+    Deadline,
     FaultPlan,
     Model,
     SolveStatus,
@@ -336,7 +337,7 @@ class TestMilpStatusEdges:
     def test_deadline_without_incumbent_reports_infinite_gap(self):
         form = _fractional_root_mip().to_standard_form()
         with faultinject.inject(FaultPlan(jump_clock_after=1)):
-            sol = solve_milp(form, time_limit=3600.0)
+            sol = solve_milp(form, deadline=Deadline(3600.0))
         assert sol.status is SolveStatus.TIME_LIMIT
         assert sol.objective is None and not sol.values
         assert math.isinf(sol.gap)

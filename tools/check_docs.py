@@ -14,6 +14,9 @@ Rather than trusting authors to remember the docs, this tool introspects
 those structures and fails when a name is missing.  A name counts as
 documented when it appears backtick-quoted (`` `name` ``) anywhere in the
 corresponding file, which is how both tables render their first column.
+It also fails on a stale entry: a backtick-quoted first-column entry of a
+table in ``instrumentation.md``, or of the Options table in
+``solver-options.md``, that names no current counter or option.
 
 Usage::
 
@@ -30,13 +33,17 @@ import argparse
 import re
 import sys
 from pathlib import Path
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _api_names() -> List[Tuple[str, Set[str]]]:
-    """(doc file name, required names) pairs, introspected from the code."""
+def _api_names() -> List[Tuple[str, Set[str], Optional[str]]]:
+    """(doc file name, required names, section of its reference tables).
+
+    The names are introspected from the code; a section of ``None`` means
+    every table of the file lists only those names.
+    """
     sys.path.insert(0, str(_REPO_ROOT / "src"))
     try:
         from repro.optim.backend import BACKEND_OPTIONS
@@ -47,8 +54,8 @@ def _api_names() -> List[Tuple[str, Set[str]]]:
     for honored in BACKEND_OPTIONS.values():
         options |= honored
     return [
-        ("solver-options.md", options),
-        ("instrumentation.md", set(COUNTER_NAMES)),
+        ("solver-options.md", options, "## Options"),
+        ("instrumentation.md", set(COUNTER_NAMES), None),
     ]
 
 
@@ -57,17 +64,35 @@ def _documented_names(text: str) -> Set[str]:
     return set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", text))
 
 
+def _table_entries(text: str, section: Optional[str]) -> Set[str]:
+    """Backtick-quoted first-column entries of the tables in ``section``.
+
+    ``section`` is a heading line; its section runs to the next ``## ``
+    heading.  ``None`` takes the tables of the whole text.
+    """
+    if section is not None:
+        lines = text.splitlines()
+        if section not in lines:
+            return set()
+        body = lines[lines.index(section) + 1 :]
+        end = next((i for i, line in enumerate(body) if line.startswith("## ")), len(body))
+        text = "\n".join(body[:end])
+    return set(re.findall(r"^\|\s*`([A-Za-z_][A-Za-z0-9_]*)`\s*\|", text, flags=re.MULTILINE))
+
+
 def check_docs(docs_dir: Path) -> List[str]:
     """Return a list of human-readable findings (empty means in sync)."""
     findings: List[str] = []
-    for file_name, required in _api_names():
+    for file_name, required, section in _api_names():
         path = docs_dir / file_name
         if not path.is_file():
             findings.append(f"{path}: missing (must document {len(required)} names)")
             continue
-        documented = _documented_names(path.read_text(encoding="utf-8"))
-        for name in sorted(required - documented):
+        text = path.read_text(encoding="utf-8")
+        for name in sorted(required - _documented_names(text)):
             findings.append(f"{path}: `{name}` is not documented")
+        for name in sorted(_table_entries(text, section) - required):
+            findings.append(f"{path}: `{name}` is documented but no longer exists")
     return findings
 
 
@@ -84,9 +109,9 @@ def main(argv: Sequence[str]) -> int:
     if findings:
         for finding in findings:
             print(finding)
-        print(f"check_docs: {len(findings)} undocumented name(s)")
+        print(f"check_docs: {len(findings)} missing or stale name(s)")
         return 1
-    total = sum(len(required) for _, required in _api_names())
+    total = sum(len(required) for _, required, _ in _api_names())
     print(f"check_docs: {total} option/counter name(s) documented, in sync")
     return 0
 
