@@ -162,15 +162,31 @@ def test_bench_inhouse_ppme_milp_full(benchmark):
     assert placement.coverage >= 0.9 - 1e-6
 
 
+#: Node ceiling on the in-house Figure 7 sweep (pop10, seed 0, six
+#: coverages).  A device count is an integer, so branch and bound fathoms a
+#: node whose bound reaches one device below the incumbent: 232 nodes.
+#: Fathoming only at 1e-9 below the incumbent explored 2,985.
+_FIGURE7_SWEEP_MAX_NODES = 500
+
+
 def test_bench_inhouse_figure7(benchmark):
     def run():
         with mock.patch.object(scipy_backend, "is_available", lambda: False):
             return figure7_passive_pop10(config=ExperimentConfig(seeds=(0,)))
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nin-house figure-7 sweep: {len(rows)} coverage targets")
+    nodes = instr.get("bb_nodes")
+    print(
+        f"\nin-house figure-7 sweep: {len(rows)} coverage targets, {nodes} nodes "
+        f"(ceiling {_FIGURE7_SWEEP_MAX_NODES})"
+    )
     for row in rows:
         assert row["ilp_devices"] <= row["greedy_devices"] + 1e-9
+    assert nodes <= _FIGURE7_SWEEP_MAX_NODES, (
+        f"branch and bound explored {nodes} nodes over the in-house Figure 7 "
+        f"sweep, over the {_FIGURE7_SWEEP_MAX_NODES}-node ceiling; check that "
+        "the device-count objective is still fathomed on its integer grid"
+    )
 
 
 #: Ceiling on dual pivots per LP solve over the three coverages the

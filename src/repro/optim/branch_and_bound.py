@@ -30,6 +30,18 @@ checks below need no changes.  After each optimal node LP, reduced-cost
 fixing tightens the node's integer bounds against the incumbent before the
 children are pushed.
 
+When every integer point has an integer objective (less the constant
+offset) -- ``c`` is nonzero, every integer column costs a whole number and
+every continuous column costs nothing, as in the paper's device-count
+placements -- the search fathoms on that *integer grid*: an incumbent of
+cost ``I`` leaves nothing to find in a node whose LP bound reaches
+``I - 1 + 1e-6``, since every integer point there costs ``I`` or more.  The
+incumbent is then held at its cost on the rounded integer point, never at
+its LP value, which can sit off the grid by up to ``sum|c| * INT_TOL``.  A
+limit exit reports its gap against the best open bound rounded up to the
+grid, ``offset + ceil(bound - offset - 1e-6)``.  The form decides this once
+per call, after the root cut rounds; no option selects it.
+
 Options honored by this backend (see :func:`repro.optim.backend.solve_model`):
 
 ==================  ======================================================
@@ -37,7 +49,9 @@ Options honored by this backend (see :func:`repro.optim.backend.solve_model`):
                     incumbent with status ``NODE_LIMIT`` (open nodes are
                     never silently discarded, so the reported bound/gap is
                     correct).
-``gap_tol``         Absolute incumbent gap below which a node is fathomed.
+``gap_tol``         Absolute incumbent gap below which a node is fathomed;
+                    on an integer-grid objective the gap is at least
+                    ``1 - 1e-6``.
 ``mip_gap``         Relative optimality gap; a node within ``mip_gap *
                     |incumbent|`` of the incumbent is fathomed, mirroring
                     the HiGHS ``mip_rel_gap`` option.
@@ -102,6 +116,23 @@ _SB_PROBE_BUDGET = 200
 #: fractional variables cannot drain the whole budget before the tree has
 #: seen a second warm basis.
 _SB_PROBES_PER_NODE = 8
+
+#: Tolerance of the integer-grid cutoff: an LP bound up to this far above a
+#: grid point still counts as that point, so LP round-off cannot fathom it.
+_GRID_TOL = 1e-6
+
+
+def _objective_on_grid(form: StandardForm) -> bool:
+    """Whether every integer point of ``form`` costs a whole number plus the offset.
+
+    True when ``c`` is nonzero, every integer column's coefficient is a
+    whole number and every continuous column's coefficient is 0.
+    """
+    integral = np.asarray(form.integrality, dtype=bool)
+    c_int = form.c[integral]
+    return bool(
+        np.any(form.c) and not np.any(form.c[~integral]) and np.all(c_int == np.round(c_int))
+    )
 
 
 def _feasible_point(form: StandardForm, x: np.ndarray) -> bool:
@@ -314,6 +345,8 @@ def solve_milp(
         and a ``NODE_LIMIT`` result reflects a resumable frontier.
     gap_tol:
         Absolute gap below which a node is fathomed against the incumbent.
+        On an integer-grid objective (see the module docstring) a node is
+        fathomed from ``1 - 1e-6`` below the incumbent whatever its value.
     mip_gap:
         Optional relative gap; nodes within ``mip_gap * |incumbent|`` of the
         incumbent are fathomed (same semantics as HiGHS ``mip_rel_gap``).
@@ -342,6 +375,8 @@ def solve_milp(
         incumbent and the best open bound -- including, when ``mip_gap`` is
         set, subtrees fathomed by the relative-gap cutoff, so a gap-pruned
         "optimal" honestly reports how far from a proven optimum it may be.
+        On an integer-grid objective that bound is first rounded up to the
+        grid.
     """
     if cuts not in ("auto", "off"):
         raise SolverError(f"cuts must be 'auto' or 'off', got {cuts!r}")
@@ -351,6 +386,14 @@ def solve_milp(
         form, session, root_warm = _root_cut_loop(form, max_iter, deadline, max_cut_rounds)
     else:
         session = SimplexSolver(form, max_iter=max_iter or 100_000)
+    integral_mask = np.asarray(form.integrality, dtype=bool)
+    on_grid = _objective_on_grid(form)
+
+    def incumbent_at(cost: float, x: np.ndarray) -> float:
+        """The cost an incumbent at ``x`` is held at: on the grid, its rounded point's."""
+        if not on_grid:
+            return cost
+        return float(form.c[integral_mask] @ np.round(x[integral_mask])) + form.objective_offset
 
     def relaxation_cost(solution: Solution) -> float:
         """LP objective in minimization sense (undo the model-sense flip)."""
@@ -362,10 +405,16 @@ def solve_milp(
         return sign * solution.objective
 
     def cutoff() -> float:
-        """Fathoming threshold against the incumbent (absolute + relative gap)."""
+        """Fathoming threshold against the incumbent (absolute + relative gap).
+
+        On the grid a bound of ``I - 1 + 1e-6`` already rules out a better
+        point, whatever ``gap_tol`` says.
+        """
         if incumbent_cost == math.inf:
             return math.inf
         slack = gap_tol
+        if on_grid:
+            slack = max(slack, 1.0 - _GRID_TOL)
         if mip_gap is not None:
             slack = max(slack, mip_gap * abs(incumbent_cost))
         return incumbent_cost - slack
@@ -392,7 +441,6 @@ def solve_milp(
     root = _Node(
         bound=-math.inf, order=0, lb=form.lb.copy(), ub=form.ub.copy(), warm_basis=root_warm
     )
-    integral_mask = np.asarray(form.integrality, dtype=bool)
     pseudo = _Pseudocosts(form.c.size)
     # Strong branching probes exist to estimate objective degradation; with a
     # zero objective (the feasibility probe) every degradation is zero, so
@@ -471,7 +519,7 @@ def solve_milp(
         x = np.array([relax.values[name] for name in form.names])
         fractional = _fractional_indices(x, form.integrality)
         if fractional.size == 0:
-            incumbent_cost = cost
+            incumbent_cost = incumbent_at(cost, x)
             incumbent = dict(relax.values)
             continue
 
@@ -480,7 +528,8 @@ def solve_milp(
         # without affecting the exactness of the search.
         rounded = _rounded_incumbents(form, x, integral_mask, incumbent_cost)
         if rounded is not None:
-            incumbent_cost, cand = rounded
+            rounded_cost, cand = rounded
+            incumbent_cost = incumbent_at(rounded_cost, cand)
             incumbent = {name: float(cand[i]) for i, name in enumerate(form.names)}
 
         # Reduced-cost fixing: with an incumbent in hand, nonbasic integer
@@ -628,6 +677,9 @@ def solve_milp(
         bound_candidates.append(gap_pruned_bound)
     if bound_candidates:
         best_bound = min(bound_candidates)
+        if on_grid and math.isfinite(best_bound):
+            offset = form.objective_offset
+            best_bound = offset + math.ceil(best_bound - offset - _GRID_TOL)
         gap = max(0.0, (incumbent_cost - best_bound) / max(abs(incumbent_cost), 1e-12))
     else:
         gap = 0.0

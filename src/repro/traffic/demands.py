@@ -194,10 +194,18 @@ class TrafficMatrix:
         """Volume of the traffics crossing at least one monitored link.
 
         This is the coverage notion of Section 4 (a traffic is either
-        monitored -- some link of its path carries a tap -- or not).
+        monitored -- some link of its path carries a tap -- or not).  Each
+        route's consecutive node pairs are looked up among the monitored
+        links in both orientations, so no link key is built per hop.
         """
-        selected = {link_key(*link) for link in monitored_links}
-        return sum(t.volume for t in self if t.links & selected)
+        hops: Set[Tuple[Hashable, Hashable]] = set()
+        for u, v in monitored_links:
+            hops.update(((u, v), (v, u)))
+        return sum(
+            t.volume
+            for t in self
+            if any(not hops.isdisjoint(zip(r.nodes, r.nodes[1:])) for r in t.routes)
+        )
 
     def coverage(self, monitored_links: Iterable[LinkKey]) -> float:
         """Fraction of the total volume monitored by ``monitored_links``."""

@@ -367,6 +367,68 @@ class TestMilpStatusEdges:
             assert limited.gap >= 0.0
 
 
+def _half_integer_cost_mip():
+    """min 2 x1 + 1.5 x2 s.t. 2 x1 + x2 >= 1: the root rounds up to 2, the optimum is 1.5."""
+    m = Model("half-integer-cost", sense="min")
+    x1, x2 = m.add_var("x1", vartype="binary"), m.add_var("x2", vartype="binary")
+    m.add_constr(2 * x1 + x2 >= 1)
+    m.set_objective(2 * x1 + 1.5 * x2)
+    return m
+
+
+def _costed_continuous_mip():
+    """min 2 x + y s.t. 4 x + y >= 1.5, y in [0, 1.5]: the root rounds up to 2, the optimum is 1.5."""
+    m = Model("costed-continuous", sense="min")
+    x, y = m.add_var("x", vartype="binary"), m.add_var("y", ub=1.5)
+    m.add_constr(4 * x + y >= 1.5)
+    m.set_objective(2 * x + y)
+    return m
+
+
+def _grid_step_mip():
+    """min 3 x1 + 2 x2 s.t. 2 x1 + x2 >= 1: the root rounds up to 3, the optimum is 2."""
+    m = Model("grid-step", sense="min")
+    x1, x2 = m.add_var("x1", vartype="binary"), m.add_var("x2", vartype="binary")
+    m.add_constr(2 * x1 + x2 >= 1)
+    m.set_objective(3 * x1 + 2 * x2)
+    return m
+
+
+class TestIntegerGridFathoming:
+    """Branch and bound fathoms one grid step below the incumbent only when
+    every integer point has an integer objective."""
+
+    # The first two are off the grid: their optimum sits 0.5 below the first
+    # incumbent, in a child whose bound a grid cutoff (1 - 1e-6 under the
+    # incumbent) would fathom.  The third is on the grid, and the child
+    # holding its optimum has an LP bound of exactly I - 1, which the cutoff
+    # must keep.
+    @pytest.mark.parametrize(
+        ("build", "first", "optimum"),
+        [(_half_integer_cost_mip, 2.0, 1.5), (_costed_continuous_mip, 2.0, 1.5), (_grid_step_mip, 3.0, 2.0)],
+    )
+    def test_tree_finds_the_optimum_below_the_first_incumbent(self, build, first, optimum):
+        # cuts="off" keeps the root fractional, so the tree has to find it.
+        form = build().to_standard_form()
+        limited = solve_milp(form, max_nodes=1, cuts="off")
+        assert limited.status is SolveStatus.NODE_LIMIT
+        assert limited.objective == pytest.approx(first, abs=1e-9)
+        sol = solve_milp(form, cuts="off")
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(optimum, abs=1e-9)
+
+    def test_node_limit_gap_rounds_the_open_bound_to_the_grid(self):
+        # max 3 z0 + 4 z1 + 5 z2: the root (9.5) rounds to 7, the probe of
+        # the z2 = 0 side meets that incumbent, and the z2 = 1 side stays
+        # open at 9 1/3.  No integer point beats 9, so the gap is 2/7 (the
+        # unrounded bound would read 1/3).
+        form = _fractional_root_mip().to_standard_form()
+        sol = solve_milp(form, max_nodes=1, cuts="off")
+        assert sol.status is SolveStatus.NODE_LIMIT
+        assert sol.objective == pytest.approx(7.0, abs=1e-9)
+        assert sol.gap == pytest.approx(2.0 / 7.0, abs=1e-9)
+
+
 class TestSolverSession:
     def test_session_updates_and_warm_resolves(self):
         m = Model("sess", sense="min")

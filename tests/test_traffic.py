@@ -2,7 +2,9 @@
 
 :func:`route_demands` searches once per ingress; it is checked against
 :func:`reference_route_demands`, the per-demand ``networkx.all_shortest_paths``
-routing kept here as the oracle.
+routing kept here as the oracle.  :meth:`TrafficMatrix.monitored_volume`
+matches route hops against the monitored links; it is checked against
+:func:`reference_monitored_volume`, which intersects link-key sets.
 """
 
 import itertools
@@ -117,6 +119,23 @@ def assert_matches_oracle(monkeypatch, pop, demands, seed=0, weight=None):
         got = route_demands(pop, demands, config)
         assert routed(got) == routed(reference_route_demands(pop, demands, config, paths_of)), name
         assert len(searched) == len(set(searched)) == len(ingresses), name
+
+
+def reference_monitored_volume(matrix, monitored_links):
+    """Volume of the traffics whose canonical link set meets the canonical selection."""
+    selected = {link_key(*link) for link in monitored_links}
+    return sum(t.volume for t in matrix if t.links & selected)
+
+
+def assert_monitored_volume_matches_oracle(matrix, seed, draws=40):
+    """Random selections of every size, each link in a random orientation."""
+    rng = random.Random(seed)
+    links = matrix.links
+    for _ in range(draws):
+        chosen = rng.sample(links, rng.randint(0, min(len(links), 30)))
+        chosen = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in chosen]
+        # Bit-identical: the same traffics summed in the same order.
+        assert matrix.monitored_volume(chosen) == reference_monitored_volume(matrix, chosen)
 
 
 class TestRoute:
@@ -292,6 +311,25 @@ class TestRoutingOracle:
         demands = generate_demands(pop, DemandConfig(pair_fraction=0.32), seed=0)
         sample = dict(itertools.islice(demands.items(), 2000))
         assert_matches_oracle(monkeypatch, pop, sample)
+
+
+class TestMonitoredVolumeOracle:
+    """:meth:`TrafficMatrix.monitored_volume` against link-key set intersection."""
+
+    @pytest.mark.parametrize("multipath", [False, True], ids=["single", "multipath"])
+    @pytest.mark.parametrize("preset", ["pop10", "pop15"])
+    def test_paper_pops(self, preset, multipath):
+        matrix = generate_traffic_matrix(
+            paper_pop(preset, seed=0), routing_config=RoutingConfig(multipath=multipath), seed=0
+        )
+        assert_monitored_volume_matches_oracle(matrix, seed=0)
+
+    def test_rocketfuel_sample(self):
+        pop = synthetic_rocketfuel(seed=0)
+        demands = generate_demands(pop, DemandConfig(pair_fraction=0.32), seed=0)
+        sample = dict(itertools.islice(demands.items(), 2000))
+        matrix = route_demands(pop, sample, RoutingConfig(multipath=True, tie_break_seed=0))
+        assert_monitored_volume_matches_oracle(matrix, seed=0, draws=20)
 
 
 @pytest.fixture()
