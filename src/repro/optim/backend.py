@@ -107,7 +107,7 @@ start; sessions still avoid the model re-lowering cost there.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -485,12 +485,15 @@ class SolverSession:
     """Incremental re-solve session over a model lowered exactly once.
 
     The session snapshots the model's :class:`StandardForm` at construction
-    and exposes O(1) in-place mutators for the data that parameterized
-    experiments change between solves -- constraint coefficients and
-    right-hand sides (``PPME*(x, h, k)``'s drifting traffic volumes),
-    objective coefficients and variable bounds.  Calling :meth:`solve` then
-    re-solves against the patched matrices, warm-starting from the previous
-    optimal basis on the in-house simplex backend.
+    and exposes in-place mutators for the data that parameterized
+    experiments change between solves -- constraint coefficients (one, or a
+    row's worth in one batch) and right-hand sides (``PPME*(x, h, k)``'s
+    drifting traffic volumes), objective coefficients and variable bounds.
+    Calling :meth:`solve` then re-solves against the patched matrices,
+    warm-starting from the previous optimal basis on the in-house simplex
+    backend.  A coefficient patch that keeps the sparsity pattern refreshes
+    the simplex's canonical LP in place; one that grows the pattern has it
+    re-lowered.
 
     Notes
     -----
@@ -519,6 +522,7 @@ class SolverSession:
         self._colgen: Optional["ColumnGeneration"] = None  # lazy decomposition driver
         self._colgen_hints: Optional["ColGenHints"] = None
         self._coeffs_dirty = False  # matrix coefficients patched since last solve
+        self._pattern_grew = False  # ... and a patch added a stored entry
         self.solves = 0
 
     def set_colgen_hints(self, hints: Optional["ColGenHints"]) -> None:
@@ -570,16 +574,41 @@ class SolverSession:
     ) -> None:
         """Set one coefficient of constraint ``name`` (model orientation).
 
-        The patch lands directly in the lowered sparse matrix; touching a
-        coefficient that is part of the sparsity pattern -- explicit zeros
-        included -- is an in-place O(log nnz) update, while introducing a
-        brand-new nonzero grows the pattern.
+        A batch of one: see :meth:`update_constraint_coeffs`.
         """
-        value = float(coeff)
-        if not math.isfinite(value):
-            raise ModelError(f"constraint {name!r}: coefficient must be finite, got {value}")
+        self.update_constraint_coeffs(name, (var,), (coeff,))
+
+    def update_constraint_coeffs(
+        self,
+        name: str,
+        variables: Sequence[Union[Variable, str]],
+        coeffs: Sequence[float],
+    ) -> None:
+        """Set the coefficients of ``variables`` in constraint ``name`` (model orientation).
+
+        Every value and variable is checked before any is written, so a
+        rejected batch leaves the matrix as it was.  The row is mapped once
+        and the patch lands directly in the lowered sparse matrix
+        (:meth:`SparseMatrix.set_row`): a coefficient that is part of the
+        sparsity pattern -- explicit zeros included -- is written in place,
+        found for the whole batch by one vectorized search, while a
+        brand-new nonzero grows the pattern.  The result equals one
+        :meth:`update_constraint_coeff` call per variable, in order.
+        """
+        values = np.array(coeffs, dtype=float)
+        if values.shape != (len(variables),):
+            raise ModelError(
+                f"constraint {name!r}: {len(variables)} variables but {values.size} coefficients"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ModelError(
+                f"constraint {name!r}: coefficient must be finite, got {values[~finite][0]}"
+            )
         A, _, row, sign = self._row(name)
-        A.set(row, self._var_index(var), sign * value)
+        cols = np.fromiter(map(self._var_index, variables), dtype=np.int64, count=len(variables))
+        if A.set_row(row, cols, sign * values):
+            self._pattern_grew = True
         self._coeffs_dirty = True
 
     def update_objective_coeff(self, var: Union[Variable, str], coeff: float) -> None:
@@ -644,7 +673,7 @@ class SolverSession:
             self._colgen.max_iter = merged.get("max_iter")
         if self._coeffs_dirty:
             self._colgen.refresh_data()
-        self._coeffs_dirty = False
+        self._coeffs_dirty = self._pattern_grew = False
         return self._colgen.solve_lp(deadline=deadline)
 
     def _solve_warm(self, merged: Dict[str, Any], deadline: Optional[Deadline]) -> Solution:
@@ -655,10 +684,10 @@ class SolverSession:
             self._simplex = SimplexSolver(self.form)
         if self._coeffs_dirty:
             # Bounds, right-hand sides and objective coefficients are
-            # re-read by every solve; only matrix-coefficient patches
-            # require re-lowering the canonical arrays.
-            self._simplex.refresh()
-        self._coeffs_dirty = False
+            # re-read by every solve; matrix-coefficient patches must be
+            # copied into the canonical LP, or re-lowered if they grew it.
+            self._simplex.refresh(pattern_grew=self._pattern_grew)
+        self._coeffs_dirty = self._pattern_grew = False
         solution, token = self._simplex.solve(
             warm_basis=self._basis, max_iter=merged.get("max_iter"), deadline=deadline
         )

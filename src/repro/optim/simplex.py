@@ -206,7 +206,12 @@ class _CanonicalLP:
     variable space (merging the split parts of free variables).  The
     structure (column layout, sparsity pattern) depends only on the matrix
     pattern and on *which* variables are free -- per-node bound values are
-    patched in place through :meth:`set_bounds`.
+    patched in place through :meth:`set_bounds`, and the form's matrix
+    values through :meth:`regather` while its pattern is unchanged.
+    ``source`` and ``negated`` are the structure map: canonical entry ``k``
+    holds entry ``source[k]`` of the form's ``A_ub.data``, ``A_eq.data``
+    and a trailing slack ``1.0``, concatenated, negated where ``negated[k]``
+    (the minus part of a split free column).
     """
 
     c: np.ndarray
@@ -219,6 +224,8 @@ class _CanonicalLP:
     free_mask: np.ndarray
     n_original: int
     n_ub: int
+    source: np.ndarray
+    negated: np.ndarray
     stamp: int = 0
 
     @property
@@ -245,6 +252,18 @@ class _CanonicalLP:
         cols = self.plus_index[bounded]
         self.lower[cols] = lb[bounded]
         self.upper[cols] = ub[bounded]
+
+    def regather(self, form: StandardForm) -> None:
+        """Re-read ``form``'s matrix values, whose pattern this LP was lowered from.
+
+        The values land in ``A.data`` through the structure map, bit for bit
+        what a fresh :func:`_canonicalize` of ``form`` would store; the new
+        stamp keeps any factorization of the old values from being resumed.
+        """
+        pool = np.concatenate((form.A_ub.data, form.A_eq.data, [1.0]))
+        np.take(pool, self.source, out=self.A.data)
+        np.negative(self.A.data, out=self.A.data, where=self.negated)
+        self.stamp = next(_lowering_stamp)
 
 
 @dataclass
@@ -323,31 +342,39 @@ def _canonicalize(
     m = m_ub + m_eq
     n_cols = n_exp + m_ub
 
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-    for block, offset in ((A_ub, 0), (A_eq, m_ub)):
+    # Every canonical entry is one form entry (a split column's minus part
+    # negated) or a slack 1.0, so the entries are gathered from a pool of
+    # the form's values through the structure map (source, negated).
+    rows: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    cols: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    srcs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    negs: List[np.ndarray] = [np.empty(0, dtype=bool)]
+    for block, offset, first in ((A_ub, 0, 0), (A_eq, m_ub, A_ub.nnz)):
         if block.nnz:
             cid = block.col_ids()
+            entry = np.arange(first, first + block.nnz, dtype=np.int64)
             rows.append(block.indices + offset)
             cols.append(plus_index[cid])
-            vals.append(block.data)
+            srcs.append(entry)
+            negs.append(np.zeros(block.nnz, dtype=bool))
             split = free[cid]
             if split.any():
                 rows.append(block.indices[split] + offset)
                 cols.append(minus_index[cid[split]])
-                vals.append(-block.data[split])
+                srcs.append(entry[split])
+                negs.append(np.ones(int(split.sum()), dtype=bool))
     if m_ub:
         slack_rows = np.arange(m_ub, dtype=np.int64)
         rows.append(slack_rows)
         cols.append(n_exp + slack_rows)
-        vals.append(np.ones(m_ub))
-    if rows:
-        A = SparseMatrix.from_coo(
-            np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (m, n_cols)
-        )
-    else:
-        A = SparseMatrix.zeros((m, n_cols))
+        srcs.append(np.full(m_ub, A_ub.nnz + A_eq.nnz, dtype=np.int64))
+        negs.append(np.zeros(m_ub, dtype=bool))
+    row_all, col_all = np.concatenate(rows), np.concatenate(cols)
+    # Column-major, rows ascending within a column; no position repeats.
+    order = np.lexsort((row_all, col_all))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(col_all, minlength=n_cols))))
+    source, negated = np.concatenate(srcs)[order], np.concatenate(negs)[order]
+    A = SparseMatrix((m, n_cols), indptr, row_all[order], np.empty(order.size))
 
     c = np.zeros(n_cols)
     c[plus_index] = form.c
@@ -361,7 +388,7 @@ def _canonicalize(
     upper[plus_index[bounded]] = ub[bounded]
 
     instr.record_max("peak_nnz", A.nnz)
-    return _CanonicalLP(
+    lp = _CanonicalLP(
         c=c,
         A=A,
         b=np.concatenate((form.b_ub, form.b_eq)),
@@ -372,8 +399,11 @@ def _canonicalize(
         free_mask=free,
         n_original=n,
         n_ub=m_ub,
-        stamp=next(_lowering_stamp),
+        source=source,
+        negated=negated,
     )
+    lp.regather(form)
+    return lp
 
 
 class _NumericalTrouble(Exception):
@@ -846,7 +876,7 @@ def _primal_iterations(
         with np.errstate(invalid="ignore"):
             t[pos] = (state.xB[pos] - lB[pos]) / wd[pos]
             t[neg] = (state.xB[neg] - uB[neg]) / wd[neg]
-        np.nan_to_num(t, copy=False, nan=math.inf, posinf=math.inf, neginf=math.inf)
+        t[~np.isfinite(t)] = math.inf
         np.maximum(t, 0.0, out=t)
         t_basic = float(t.min()) if m else math.inf
         t_flip = state.upper_ext[q] - state.lower_ext[q]
@@ -1603,7 +1633,8 @@ class SimplexSolver:
     exactly once (columns, splits, slacks, sparsity pattern); subsequent
     solves patch only bound values, the right-hand side and the costs into
     the shared canonical arrays, then warm-start from a previously optimal
-    basis whenever one is supplied.
+    basis whenever one is supplied.  Patched matrix values are re-gathered
+    in place by :meth:`refresh` while the pattern holds.
     """
 
     def __init__(self, form: StandardForm, max_iter: int = 100_000) -> None:
@@ -1611,15 +1642,21 @@ class SimplexSolver:
         self.max_iter = max_iter
         self._lp: Optional[_CanonicalLP] = None
 
-    def refresh(self) -> None:
-        """Force a full re-lowering on the next solve.
+    def refresh(self, pattern_grew: bool) -> None:
+        """Bring the canonical LP up to date with patched matrix coefficients.
 
         :class:`repro.optim.backend.SolverSession` calls this after patching
         *coefficients* of the form's sparse matrices (bounds, right-hand
         sides and objective coefficients are re-read on every solve and do
-        not need it).
+        not need it).  While the sparsity pattern is unchanged the values
+        are re-gathered in place (:meth:`_CanonicalLP.regather`, under a
+        new stamp); a patch that grew the pattern forces a full re-lowering
+        on the next solve.
         """
-        self._lp = None
+        if pattern_grew:
+            self._lp = None
+        elif self._lp is not None:
+            self._lp.regather(self.form)
 
     def _ensure_canonical(self, lb: np.ndarray, ub: np.ndarray) -> _CanonicalLP:
         free = np.isneginf(lb) & np.isposinf(ub)

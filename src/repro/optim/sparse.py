@@ -8,7 +8,8 @@ the kernel set the sparse revised simplex and the backends need -- column
 gather, ``A @ x`` / ``A.T @ y`` products as whole-array numpy operations,
 ``A.T @ y`` over a column range (partial pricing) and over the columns a
 sparse ``y``'s nonzero rows touch (the dual simplex's pivot row),
-in-place entry updates for :class:`repro.optim.backend.SolverSession`, and
+in-place entry updates for :class:`repro.optim.backend.SolverSession` (one
+entry, or one row's entries over many columns at once), and
 conversions to dense numpy / SciPy sparse for interop -- without depending
 on SciPy itself (the in-house solvers must run on a numpy-only install).
 
@@ -253,6 +254,32 @@ class SparseMatrix:
         self._rmv_cache = None
         self._row_index = None
         return True
+
+    def set_row(self, row: int, cols: np.ndarray, values: np.ndarray) -> bool:
+        """Set entries ``(row, cols[k])`` to ``values[k]``; True when the pattern grew.
+
+        One vectorized search over the pattern's ``(column, row)`` keys,
+        which the CSC order keeps sorted, finds the stored entries, and they
+        are written in place; :meth:`set` then inserts each entry the
+        pattern lacks.  The result equals one :meth:`set` call per entry in
+        order.  An index out of range raises before anything is written.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        m = self.shape[0]
+        if cols.size and not (0 <= row < m and 0 <= cols.min() and cols.max() < self.shape[1]):
+            raise IndexError(f"row {row} or a column out of range for shape {self.shape}")
+        keys = self._column_ids() * m + self.indices
+        targets = cols * m + row
+        pos = np.minimum(np.searchsorted(keys, targets), max(keys.size - 1, 0))
+        stored = keys[pos] == targets if keys.size else np.zeros(cols.size, dtype=bool)
+        self.data[pos[stored]] = values[stored]
+        if stored.all():
+            return False
+        grew = False
+        for k in np.flatnonzero(~stored):
+            grew |= self.set(row, int(cols[k]), float(values[k]))
+        return grew
 
     def append_columns(self, block: "SparseMatrix") -> None:
         """Append ``block``'s columns to this matrix in place.

@@ -34,6 +34,7 @@ from repro.passive.sampling import (
     SamplingProblem,
     _build_ppme_model,
     _extract_placement,
+    _route_volumes,
 )
 from repro.topology.pop import LinkKey, link_key
 from repro.traffic.demands import Route, Traffic, TrafficMatrix
@@ -57,7 +58,9 @@ def reoptimize_sampling_rates(
     """
     model, x, r, delta = _build_ppme_model(problem, installed_links=installed_links)
     model.solve(backend=backend, raise_on_infeasible=True)
-    return _extract_placement(problem, model, x, r, delta, method="ppme*")
+    return _extract_placement(
+        problem, model, x, r, delta, "ppme*", _route_volumes(problem.traffic)
+    )
 
 
 @dataclass

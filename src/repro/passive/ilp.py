@@ -148,7 +148,7 @@ class LP2Column(NamedTuple):
 
 
 def lp2_column_universe(
-    problem: PPMProblem, crossing: Sequence[List[LinkKey]]
+    problem: PPMProblem, crossing: Sequence[List[LinkKey]], volumes: Sequence[float]
 ) -> Iterator[LP2Column]:
     """Lazily describe LP2's column universe, one column at a time.
 
@@ -157,11 +157,12 @@ def lp2_column_universe(
     incident traffics / links) for a column-generation driver to rank and
     admit columns incrementally.  Iteration order matches the lowered
     column order of :class:`PPMSession` (``x`` first, then ``delta``).
-    ``crossing`` is the :func:`_crossing_links` of ``problem``.
+    ``crossing`` is the :func:`_crossing_links` of ``problem`` and
+    ``volumes`` its traffics' volumes, both in traffic order.
     """
     links = problem.candidate_links
     incidence = _link_traffic_incidence(problem, crossing)
-    volume_of = {t.traffic_id: t.volume for t in problem.traffic}
+    volume_of = dict(zip((t.traffic_id for t in problem.traffic), volumes))
     for i, link in enumerate(links):
         crossed_by = tuple(incidence[link])
         yield LP2Column(
@@ -173,19 +174,22 @@ def lp2_column_universe(
             crossing=crossed_by,
         )
     n_links = len(links)
-    for j, (traffic, crossed) in enumerate(zip(problem.traffic, crossing)):
+    for j, (volume, crossed) in enumerate(zip(volumes, crossing)):
         yield LP2Column(
             index=n_links + j,
             name=f"delta[{j}]",
             kind="delta",
             cost=0.0,
-            volume=float(traffic.volume),
+            volume=float(volume),
             crossing=tuple(crossed),
         )
 
 
 def _lp2_colgen_hints(
-    problem: PPMProblem, form: "StandardForm", crossing: Sequence[List[LinkKey]]
+    problem: PPMProblem,
+    form: "StandardForm",
+    crossing: Sequence[List[LinkKey]],
+    volumes: Sequence[float],
 ) -> "ColGenHints":
     """Build :class:`repro.optim.colgen.ColGenHints` for an LP2 lowering.
 
@@ -199,17 +203,20 @@ def _lp2_colgen_hints(
       ``v_t * y_coverage`` at LP2 optimality (it zeroes the reduced cost of
       the row's ``delta`` column), which keeps never-admitted traffic
       fractions priced out instead of flooding the master.
+
+    ``crossing`` and ``volumes`` are the traffics' crossed candidate links
+    and volumes, in traffic order.
     """
     from repro.optim.colgen import ColGenHints
 
-    columns = list(lp2_column_universe(problem, crossing))
+    columns = list(lp2_column_universe(problem, crossing, volumes))
     n_links = len(problem.candidate_links)
     x_cols, delta_cols = columns[:n_links], columns[n_links:]
     usable = [col for col in delta_cols if col.crossing]
 
     chosen: List[LP2Column] = []
     acc = 0.0
-    target = problem.required_volume
+    target = problem.coverage * sum(volumes)  # = problem.required_volume
     for col in sorted(usable, key=lambda c: -c.volume):
         chosen.append(col)
         acc += col.volume
@@ -258,7 +265,7 @@ def _lp2_colgen_hints(
         dtype=np.int64,
     )
     cov_row = int(form.row_map["coverage"][1])
-    volumes = np.array([t.volume for t in traffics])
+    volume_array = np.array(volumes, dtype=float)
 
     def complete(y: np.ndarray, dropped: np.ndarray) -> None:
         # At LP2 optimality a slack monitor row's dual is v_t * y_cov: it
@@ -266,7 +273,7 @@ def _lp2_colgen_hints(
         # (the lowered coverage row carries -v_t, the monitor row +1).
         y_cov = min(float(y[cov_row]), 0.0)
         mask = dropped[monitor_rows]
-        y[monitor_rows[mask]] = volumes[mask] * y_cov
+        y[monitor_rows[mask]] = volume_array[mask] * y_cov
 
     return ColGenHints(
         initial_columns=tuple(init_x)
@@ -301,10 +308,13 @@ class PPMSession:
         self.links = problem.candidate_links
         model = Model("ppm-lp2", sense="min")
         crossing = _crossing_links(problem)
+        # Each traffic's volume, read once (Traffic.volume re-sums its
+        # routes); the right-hand side is problem.required_volume.
+        volumes = [t.volume for t in problem.traffic]
         self._x, delta = _add_compact_core(model, problem, crossing)
         model.add_constr(
-            lin_sum(t.volume * delta[t.traffic_id] for t in problem.traffic)
-            >= problem.required_volume,
+            lin_sum(v * delta[t.traffic_id] for t, v in zip(problem.traffic, volumes))
+            >= problem.coverage * sum(volumes),
             name="coverage",
         )
         # Non-binding until a solve patches its right-hand side down.
@@ -314,9 +324,9 @@ class PPMSession:
         self._session = model.session(backend=backend, **solver_options)
         # Column-generation hints ride along on every session; they are
         # consumed only when the in-house solver decomposes the form
-        # (Internet-scale instances), and reuse the crossing links.
+        # (Internet-scale instances), and reuse the crossing links and volumes.
         self._session.set_colgen_hints(
-            _lp2_colgen_hints(problem, self._session.form, crossing)
+            _lp2_colgen_hints(problem, self._session.form, crossing, volumes)
         )
 
     @property

@@ -19,7 +19,9 @@ minimizing total setup plus exploitation cost
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.optim import Model, lin_sum, selected
@@ -218,6 +220,11 @@ def _build_ppme_model(
     return model, x, r, delta
 
 
+def _route_volumes(traffic: TrafficMatrix) -> List[List[float]]:
+    """Each traffic's route volumes, in traffic order and route order."""
+    return [[route.volume for route in t.routes] for t in traffic]
+
+
 def _extract_placement(
     problem: SamplingProblem,
     model: Model,
@@ -225,22 +232,30 @@ def _extract_placement(
     r: Mapping[LinkKey, object],
     delta: Mapping[PathId, object],
     method: str,
+    volumes: Sequence[Sequence[float]],
 ) -> SamplingPlacement:
-    paths = problem.paths()
+    """Read the placement off the model's solution point.
+
+    ``delta`` is keyed in traffic order, then route order, as
+    :func:`_build_ppme_model` builds it; ``volumes`` are the
+    :func:`_route_volumes` of ``problem.traffic``, in the same order.  Every
+    sum runs in that order, as ``Traffic.volume`` and
+    ``TrafficMatrix.total_volume`` sum.
+    """
     costs = problem.costs
+    point = model.solution.point()
     monitored = selected(model.solution, x)
-    rates = {l: model.value(r[l]) for l in r if model.value(r[l]) > 1e-9}
-    fractions = {p: model.value(delta[p]) for p in delta}
+    rates = {l: rate for l, rate in ((l, point[v.name]) for l, v in r.items()) if rate > 1e-9}
+    fractions = {p: point[v.name] for p, v in delta.items()}
 
-    traffic_cov: Dict[Hashable, float] = {}
-    for traffic in problem.traffic:
-        monitored_volume = sum(
-            paths[(traffic.traffic_id, i)].volume * fractions[(traffic.traffic_id, i)]
-            for i in range(len(traffic.routes))
-        )
-        traffic_cov[traffic.traffic_id] = monitored_volume / traffic.volume
+    # The monitored volume of each path, then of each traffic's routes.
+    parts = [v * f for v, f in zip(chain.from_iterable(volumes), fractions.values())]
+    remaining = iter(parts)
+    traffic_cov: Dict[Hashable, float] = {
+        traffic.traffic_id: sum(islice(remaining, len(route_volumes))) / sum(route_volumes)
+        for traffic, route_volumes in zip(problem.traffic, volumes)
+    }
 
-    total_monitored = sum(paths[p].volume * fractions[p] for p in paths)
     setup = sum(costs.setup_cost(l) for l in monitored)
     exploitation = sum(costs.exploitation_cost(l) * rate for l, rate in rates.items())
     return SamplingPlacement(
@@ -249,20 +264,9 @@ def _extract_placement(
         path_fractions=fractions,
         setup_cost=setup,
         exploitation_cost=exploitation,
-        coverage=total_monitored / problem.total_volume,
+        coverage=sum(parts) / sum(map(sum, volumes)),
         traffic_coverage=traffic_cov,
         method=method,
-    )
-
-
-def _traffic_signature(traffic: TrafficMatrix) -> Tuple:
-    """Structural identity of a matrix: traffic ids and route node sequences.
-
-    Two matrices with the same signature differ only in route *volumes*, which
-    is exactly the case :class:`PPMESession` can re-solve incrementally.
-    """
-    return tuple(
-        (t.traffic_id, tuple(tuple(route.nodes) for route in t.routes)) for t in traffic
     )
 
 
@@ -276,12 +280,14 @@ class PPMESession:
     :class:`repro.optim.SolverSession` over it, and on each
     :meth:`reoptimize` call patches only the volume-dependent data -- the
     coefficients and right-hand sides of the per-traffic and global coverage
-    constraints, updated in place inside the sparse arrays -- before
-    re-solving (warm-started from the previous factorized basis on the
-    in-house revised simplex).
+    constraints, one batched patch per row, written in place inside the
+    sparse arrays -- before re-solving.  The patches keep the sparsity
+    pattern, so the in-house simplex refreshes its canonical LP in place
+    instead of re-lowering it, and warm-starts from the previous optimal
+    basis.
 
-    If the traffic *structure* changes (new traffics or re-routed paths) the
-    model is transparently rebuilt from scratch.
+    If the traffic *structure* changes (other traffic ids, or re-routed
+    paths) the model is transparently rebuilt from scratch.
     """
 
     def __init__(
@@ -303,9 +309,39 @@ class PPMESession:
             problem, installed_links=self.installed_links
         )
         self._session = self.model.session(backend=self.backend, **self.solver_options)
-        self._signature = _traffic_signature(problem.traffic)
-        self._min_ratios = problem.min_ratios()
+        self._path_vars = list(self._delta.values())
+        # The structure a patchable matrix repeats: traffic ids, route counts
+        # and route node tuples, in order.
+        self._traffic_ids = [t.traffic_id for t in problem.traffic]
+        self._route_counts = [len(t.routes) for t in problem.traffic]
+        self._route_nodes = [route.nodes for t in problem.traffic for route in t.routes]
+        # The traffic-min[t] rows (h_t > 0): position of t, row name, h_t and
+        # the delta variables of t's routes.
+        ratios = problem.min_ratios()
+        self._min_rows = [
+            (
+                index,
+                f"traffic-min[{t.traffic_id}]",
+                ratios[t.traffic_id],
+                [self._delta[(t.traffic_id, i)] for i in range(len(t.routes))],
+            )
+            for index, t in enumerate(problem.traffic)
+            if ratios[t.traffic_id] > 0
+        ]
         self.rebuilds += 1
+
+    def _same_structure(self, traffic: TrafficMatrix) -> bool:
+        """Whether ``traffic`` has the built traffic ids and route node tuples, in order.
+
+        Such a matrix differs only in route *volumes*, which is exactly the
+        case the session re-solves by patching.  The walk collects references
+        to the ids and node tuples and compares the lists in C.
+        """
+        return (
+            [t.traffic_id for t in traffic] == self._traffic_ids
+            and [len(t.routes) for t in traffic] == self._route_counts
+            and [route.nodes for t in traffic for route in t.routes] == self._route_nodes
+        )
 
     def _replace_problem(self, traffic: TrafficMatrix) -> SamplingProblem:
         base = self.problem
@@ -317,23 +353,24 @@ class PPMESession:
             candidate_links=base.candidate_links,
         )
 
-    def _patch_volumes(self, problem: SamplingProblem) -> None:
-        """Push the new volumes into the lowered matrices (no re-lowering)."""
+    def _patch_volumes(self, traffic: TrafficMatrix, volumes: List[List[float]]) -> None:
+        """Push the ``volumes`` of ``traffic`` into the lowered matrices (no re-lowering).
+
+        The right-hand sides sum the volumes in the order
+        ``Traffic.volume`` and ``TrafficMatrix.total_volume`` do.
+        """
         session = self._session
-        paths = problem.paths()
-        for path_id, route in paths.items():
-            session.update_constraint_coeff("coverage", self._delta[path_id], route.volume)
-        session.update_constraint_rhs("coverage", problem.coverage * problem.total_volume)
-        for traffic in problem.traffic:
-            h_t = self._min_ratios[traffic.traffic_id]
-            if h_t <= 0:
-                continue
-            name = f"traffic-min[{traffic.traffic_id}]"
-            for index in range(len(traffic.routes)):
-                path_id = (traffic.traffic_id, index)
-                session.update_constraint_coeff(name, self._delta[path_id], paths[path_id].volume)
-            session.update_constraint_rhs(name, h_t * traffic.volume)
-        self.problem = problem
+        session.update_constraint_coeffs(
+            "coverage", self._path_vars, list(chain.from_iterable(volumes))
+        )
+        session.update_constraint_rhs("coverage", self.problem.coverage * sum(map(sum, volumes)))
+        for index, name, h_t, variables in self._min_rows:
+            session.update_constraint_coeffs(name, variables, volumes[index])
+            session.update_constraint_rhs(name, h_t * sum(volumes[index]))
+        # The checks SamplingProblem makes hold for a matrix of the same
+        # structure, so the problem is copied rather than re-validated.
+        self.problem = copy.copy(self.problem)
+        self.problem.traffic = traffic
 
     def reoptimize(self, traffic: Optional[TrafficMatrix] = None) -> SamplingPlacement:
         """Re-solve PPME* (optionally under new volumes) and extract the plan.
@@ -344,14 +381,15 @@ class PPMESession:
             When the frozen deployment cannot reach the objectives under the
             given traffic.
         """
+        volumes = _route_volumes(self.problem.traffic if traffic is None else traffic)
         if traffic is not None:
-            if _traffic_signature(traffic) == self._signature:
-                self._patch_volumes(self._replace_problem(traffic))
+            if self._same_structure(traffic):
+                self._patch_volumes(traffic, volumes)
             else:
                 self._build(self._replace_problem(traffic))
         self._session.solve(raise_on_infeasible=True)
         return _extract_placement(
-            self.problem, self.model, self._x, self._r, self._delta, method="ppme*"
+            self.problem, self.model, self._x, self._r, self._delta, "ppme*", volumes
         )
 
 
@@ -367,4 +405,6 @@ def solve_ppme(problem: SamplingProblem, backend: str = "auto") -> SamplingPlace
     """
     model, x, r, delta = _build_ppme_model(problem)
     model.solve(backend=backend, raise_on_infeasible=True)
-    return _extract_placement(problem, model, x, r, delta, method="ppme")
+    return _extract_placement(
+        problem, model, x, r, delta, "ppme", _route_volumes(problem.traffic)
+    )

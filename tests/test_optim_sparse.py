@@ -1,9 +1,13 @@
 """Tests for the sparse lowering, CSC kernels and factorized-basis machinery.
 
-Three layers are covered:
+Four layers are covered:
 
 * :class:`repro.optim.sparse.SparseMatrix` kernel correctness against dense
   numpy references;
+* session coefficient patches: a batched row patch equals the same patches
+  made one at a time, and a patch that keeps the sparsity pattern refreshes
+  the canonical LP in place (a fresh lowering's entries, under a new stamp)
+  while one that grows the pattern re-lowers it;
 * the lowering of randomized models against the models themselves: at a
   random point, every lowered row and the lowered objective must reproduce
   the value of the expression it came from;
@@ -23,11 +27,14 @@ import pytest
 
 from repro.optim import Model, lin_sum
 from repro.optim import instrumentation as instr
+from repro.optim.errors import ModelError
 from repro.optim.simplex import (
     SimplexSolver,
     _REFACTOR_INTERVAL,
     _BasisFactor,
     _canonicalize,
+    _resumable,
+    solve_standard_form,
 )
 from repro.optim.sparse import SparseMatrix
 
@@ -102,6 +109,32 @@ class TestSparseMatrix:
         assert A.set(1, 1, 2.0)  # brand-new entry grows the pattern
         assert A.nnz == 2
         np.testing.assert_allclose(A.to_dense(), [[1.0, 0.0], [0.0, 2.0]])
+
+    def test_set_row_equals_one_set_per_entry(self):
+        # Stored entries, fill-in and repeated columns, at random: the
+        # batched write must leave the matrix one set() per entry leaves it.
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+            dense = rng.uniform(-1, 1, (m, n)) * (rng.random((m, n)) < 0.4)
+            batched, single = SparseMatrix.from_dense(dense), SparseMatrix.from_dense(dense)
+            row = int(rng.integers(m))
+            cols = rng.integers(0, n, size=int(rng.integers(0, 8)))
+            vals = rng.uniform(-2, 2, size=cols.size)
+            grew = False
+            for col, val in zip(cols, vals):
+                grew |= single.set(row, int(col), float(val))
+            assert batched.set_row(row, cols, vals) == grew, trial
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(batched, part), getattr(single, part)), trial
+
+    def test_set_row_checks_every_index_before_writing(self):
+        A = SparseMatrix.from_coo([0, 1], [0, 1], [1.0, 2.0], (2, 3))
+        for row, cols in ((0, [0, 3]), (0, [-1, 0]), (2, [0])):
+            with pytest.raises(IndexError):
+                A.set_row(row, np.array(cols), np.full(len(cols), 5.0))
+        assert A.nnz == 2
+        assert np.array_equal(A.data, [1.0, 2.0])
 
     def test_hstack_columns_matches_dense_concat(self):
         rng = np.random.default_rng(23)
@@ -571,3 +604,112 @@ class TestCanonicalizationContract:
         sol2, _ = solver.solve(lb=np.array([-2.0]), ub=np.array([np.inf]))
         assert sol2.objective == pytest.approx(-2.0)
         assert instr.get("canonicalizations") == 2
+
+
+def _patch_model() -> Model:
+    """An LP with a free column (split in two canonical columns), a ``>=``
+    row (lowered negated), a ``<=`` row and an equality row.  ``z`` is not
+    in row ``ge``, so patching it there grows the pattern."""
+    model = Model("patch", sense="min")
+    x = model.add_var("x", lb=0.0, ub=4.0)
+    y = model.add_var("y", lb=-np.inf)
+    z = model.add_var("z", lb=0.0, ub=3.0)
+    model.add_constr(x + 2 * y >= 1, name="ge")
+    model.add_constr(x - y + z <= 5, name="le")
+    model.add_constr(y + z == 1, name="eq")
+    model.set_objective(x + y + 2 * z)
+    return model
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_matrix(a: SparseMatrix, b: SparseMatrix) -> bool:
+    return a.shape == b.shape and all(
+        _same_bits(getattr(a, part), getattr(b, part)) for part in ("indptr", "indices", "data")
+    )
+
+
+class TestSessionCoefficientPatches:
+    """A batched coefficient patch is the one-coefficient patches made at
+    once, and a patch that keeps the pattern refreshes the canonical LP in
+    place instead of re-lowering it."""
+
+    def test_batched_patch_equals_one_coefficient_patches(self):
+        patches = [
+            ("ge", ["x", "y", "z"], [1.5, -0.5, 2.0]),  # sign flip; z grows the pattern
+            ("eq", ["z", "y"], [0.25, 3.0]),
+            ("le", ["y"], [0.0]),  # an explicit zero stays in the pattern
+        ]
+        batched = _patch_model().session(backend="simplex")
+        single = _patch_model().session(backend="simplex")
+        for name, variables, coeffs in patches:
+            batched.update_constraint_coeffs(name, variables, coeffs)
+            for var, coeff in zip(variables, coeffs):
+                single.update_constraint_coeff(name, var, coeff)
+        assert _same_matrix(batched.form.A_ub, single.form.A_ub)
+        assert _same_matrix(batched.form.A_eq, single.form.A_eq)
+        _, ge_row, sign = batched.form.row_map["ge"]
+        assert sign == -1.0 and batched.form.A_ub.get(ge_row, 2) == -2.0
+        assert batched.form.A_ub.nnz == _patch_model().to_standard_form().A_ub.nnz + 1
+        assert batched.solve().objective == single.solve().objective
+
+    def test_rejected_batch_writes_nothing(self):
+        session = _patch_model().session(backend="simplex")
+        before = (session.form.A_ub.copy(), session.form.A_eq.copy())
+        with pytest.raises(ModelError, match="finite"):
+            session.update_constraint_coeffs("ge", ["x", "z", "y"], [2.0, 1.0, float("nan")])
+        with pytest.raises(ModelError, match="coefficients"):
+            session.update_constraint_coeffs("ge", ["x", "y"], [2.0])
+        with pytest.raises(ModelError, match="no variable"):
+            session.update_constraint_coeffs("ge", ["x", "z", "w"], [2.0, 1.0, 1.0])
+        with pytest.raises(ModelError, match="no constraint"):
+            session.update_constraint_coeffs("gone", ["x"], [2.0])
+        assert _same_matrix(session.form.A_ub, before[0])
+        assert _same_matrix(session.form.A_eq, before[1])
+
+    def test_data_patch_regathers_the_canonical_lp_under_a_new_stamp(self):
+        form = _patch_model().to_standard_form()
+        solver = SimplexSolver(form)
+        _, token = solver.solve()
+        lp = solver._lp
+        assert lp.negated.any()  # the free column's minus part is gathered negated
+        form.A_ub.data *= 1.5
+        form.A_eq.data -= 0.25
+        solver.refresh(pattern_grew=False)
+        assert solver._lp is lp
+        assert lp.stamp != token.factor.stamp and not _resumable(token, lp)
+        fresh = _canonicalize(form)
+        assert _same_matrix(lp.A, fresh.A)
+        assert _same_bits(lp.source, fresh.source) and _same_bits(lp.negated, fresh.negated)
+
+    def test_pattern_growth_relowers_the_canonical_lp(self):
+        form = _patch_model().to_standard_form()
+        solver = SimplexSolver(form)
+        solver.solve()
+        lp = solver._lp
+        assert form.A_ub.set(form.row_map["ge"][1], 2, -2.0)
+        solver.refresh(pattern_grew=True)
+        instr.reset()
+        solution, _ = solver.solve()
+        assert instr.get("canonicalizations") == 1
+        assert solver._lp is not lp and _same_matrix(solver._lp.A, _canonicalize(form).A)
+        assert solution.objective == pytest.approx(solve_standard_form(form).objective, abs=1e-9)
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_session_re_solves_match_cold_solves(self, grow):
+        session = _patch_model().session(backend="simplex")
+        session.solve()
+        lp = session._simplex._lp
+        session.update_constraint_coeffs("ge", ["x", "y"], [1.5, -0.5])
+        session.update_constraint_coeffs("eq", ["y", "z"], [2.0, 0.5])
+        if grow:
+            session.update_constraint_coeffs("ge", ["z"], [0.75])
+        instr.reset()
+        solution = session.solve()
+        assert instr.get("canonicalizations") == int(grow)
+        assert (session._simplex._lp is lp) is not grow
+        assert _same_matrix(session._simplex._lp.A, _canonicalize(session.form).A)
+        cold = solve_standard_form(session.form)
+        assert solution.objective == pytest.approx(cold.objective, abs=1e-9)

@@ -5,7 +5,9 @@ calls to :func:`repro.optim.simplex._cold_solve_resilient` across chains of
 re-solves that used to restart cold:
 
 * a patched basis that is both primal and dual infeasible (the PPME*
-  controller re-solves) is repaired under shifted costs;
+  controller re-solves) is repaired under shifted costs, and the chain
+  lowers its LP once: each batched volume patch keeps the sparsity pattern,
+  and every placement equals the one-coefficient reference path's;
 * an exhausted bound-flipping ratio test proves infeasibility instead of
   stalling into a cold solve, and needs no FTRAN for its flips: a dual
   iteration applies all of its flips with one FTRAN before its pivot;
@@ -37,6 +39,7 @@ from repro.optim import simplex as simplex_mod
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InfeasibleError
 from repro.optim.simplex import SimplexSolver, extend_warm_basis, solve_standard_form
+from repro.passive.sampling import PPMESession, SamplingPlacement, SamplingProblem, solve_ppme
 
 
 @pytest.fixture
@@ -177,15 +180,102 @@ def test_cost_shifted_repair_matches_cold_solves(cold_solves):
                 basis = token
 
 
+class OneCoefficientPPMESession(PPMESession):
+    """The reference PPME* re-solve: one coefficient per patch call.
+
+    It checks the structure against a signature of traffic ids and route
+    node tuples built at each step, patches the coverage and traffic-min
+    rows one coefficient at a time with right-hand sides from
+    ``Traffic.volume``, and reads the placement through ``Model.value``.
+    The batched session must return placements equal to its own.
+    """
+
+    @staticmethod
+    def _signature(traffic):
+        return tuple(
+            (t.traffic_id, tuple(tuple(route.nodes) for route in t.routes)) for t in traffic
+        )
+
+    def reoptimize(self, traffic=None):
+        if traffic is not None:
+            problem = self._replace_problem(traffic)
+            if self._signature(traffic) == self._signature(self.problem.traffic):
+                self._patch_one_by_one(problem)
+            else:
+                self._build(problem)
+        self._session.solve(raise_on_infeasible=True)
+        return self._placement()
+
+    def _patch_one_by_one(self, problem):
+        session = self._session
+        paths = problem.paths()
+        for path_id, route in paths.items():
+            session.update_constraint_coeff("coverage", self._delta[path_id], route.volume)
+        session.update_constraint_rhs("coverage", problem.coverage * problem.total_volume)
+        ratios = problem.min_ratios()
+        for traffic in problem.traffic:
+            h_t = ratios[traffic.traffic_id]
+            if h_t <= 0:
+                continue
+            name = f"traffic-min[{traffic.traffic_id}]"
+            for index in range(len(traffic.routes)):
+                path_id = (traffic.traffic_id, index)
+                session.update_constraint_coeff(name, self._delta[path_id], paths[path_id].volume)
+            session.update_constraint_rhs(name, h_t * traffic.volume)
+        self.problem = problem
+
+    def _placement(self):
+        problem, model = self.problem, self.model
+        paths = problem.paths()
+        costs = problem.costs
+        monitored = [l for l in self._x if model.value(self._x[l]) > 0.5]
+        rates = {l: model.value(v) for l, v in self._r.items() if model.value(v) > 1e-9}
+        fractions = {p: model.value(v) for p, v in self._delta.items()}
+        traffic_cov = {}
+        for traffic in problem.traffic:
+            monitored_volume = sum(
+                paths[(traffic.traffic_id, i)].volume * fractions[(traffic.traffic_id, i)]
+                for i in range(len(traffic.routes))
+            )
+            traffic_cov[traffic.traffic_id] = monitored_volume / traffic.volume
+        total_monitored = sum(paths[p].volume * fractions[p] for p in paths)
+        return SamplingPlacement(
+            monitored_links=monitored,
+            sampling_rates=rates,
+            path_fractions=fractions,
+            setup_cost=sum(costs.setup_cost(l) for l in monitored),
+            exploitation_cost=sum(costs.exploitation_cost(l) * r for l, r in rates.items()),
+            coverage=total_monitored / problem.total_volume,
+            traffic_coverage=traffic_cov,
+            method="ppme*",
+        )
+
+
+def _drift_chain(session_class, problem, installed, steps, backend="simplex"):
+    """Each step's (objective, placement), or None when PPME* is infeasible."""
+    session = session_class(problem, installed, backend=backend)
+    out = []
+    for traffic in steps:
+        try:
+            placement = session.reoptimize(traffic)
+        except InfeasibleError:
+            out.append(None)
+        else:
+            out.append((session.model.solution.objective, placement))
+    return out
+
+
 @pytest.mark.skipif(
     not scipy_backend.is_available(), reason="HiGHS deploys the devices and answers the chain"
 )
 def test_ppme_star_drift_chain_solves_cold_once(cold_solves):
     # Section 5.4: devices frozen at the PPME optimum, sampling rates
     # re-optimised at each of 20 one-step drifts of the traffic (3 of them
-    # infeasible).  Only the session's first solve may be cold.
+    # infeasible).  Only the session's first solve may be cold, and the only
+    # lowering is the first: each batched volume patch keeps the pattern, so
+    # the canonical LP is refreshed in place.  Every placement equals the
+    # one-coefficient reference path's.
     from repro.passive.dynamic import TrafficDriftModel
-    from repro.passive.sampling import PPMESession, SamplingProblem, solve_ppme
     from repro.topology import paper_pop
     from repro.traffic import generate_traffic_matrix
 
@@ -196,27 +286,54 @@ def test_ppme_star_drift_chain_solves_cold_once(cold_solves):
     rng = random.Random(0)
     steps = [drift.evolve(base, rng) for _ in range(20)]
 
-    def answers(backend):
-        session = PPMESession(problem, installed, backend=backend)
-        out = []
-        for traffic in steps:
-            try:
-                session.reoptimize(traffic)
-            except InfeasibleError:
-                out.append(None)
-            else:
-                out.append(session.model.solution.objective)
-        return out
-
-    inhouse = answers("simplex")
+    instr.reset()
+    chain = _drift_chain(PPMESession, problem, installed, steps)
     assert cold_solves[0] == 1
-    highs = answers("scipy")
+    assert instr.get("canonicalizations") == 1
+    assert chain == _drift_chain(OneCoefficientPPMESession, problem, installed, steps)
+    inhouse = [None if step is None else step[0] for step in chain]
+    highs = [
+        None if step is None else step[0]
+        for step in _drift_chain(PPMESession, problem, installed, steps, backend="scipy")
+    ]
     assert sum(a is None for a in highs) == 3
     for step, (got, ref) in enumerate(zip(inhouse, highs)):
         if ref is None:
             assert got is None, f"step {step}"
         else:
             assert got == pytest.approx(ref, rel=1e-6), f"step {step}"
+
+
+def test_batched_drift_patches_match_the_one_coefficient_path(cold_solves):
+    # Multi-routed traffics (up to four routes, so each traffic's volume is a
+    # sum of several) under per-traffic minimum ratios: every step patches
+    # the coverage row and each traffic-min[t] row in one call, and its
+    # placement equals the one-coefficient path's, bit for bit.
+    from repro.passive.dynamic import TrafficDriftModel
+    from repro.traffic.demands import Route, Traffic, TrafficMatrix
+
+    rng = random.Random(7)
+    traffics = []
+    for source in "abc":
+        for sink in "xyz":
+            hubs = rng.sample(range(4), rng.randint(1, 4))
+            traffics.append(
+                Traffic(
+                    (source, sink),
+                    [Route((source, f"m{hub}", sink), rng.uniform(1.0, 9.0)) for hub in hubs],
+                )
+            )
+    base = TrafficMatrix(traffics)
+    problem = SamplingProblem(traffic=base, coverage=0.8, traffic_min_ratio=0.3)
+    drift = TrafficDriftModel(volatility=0.3, burst_probability=0.1)
+    steps = [drift.evolve(base, rng) for _ in range(12)]
+
+    instr.reset()
+    chain = _drift_chain(PPMESession, problem, base.links, steps)
+    assert cold_solves[0] == 1
+    assert instr.get("canonicalizations") == 1
+    assert sum(step is not None for step in chain) >= 10
+    assert chain == _drift_chain(OneCoefficientPPMESession, problem, base.links, steps)
 
 
 def test_root_cut_rounds_solve_cold_once(cold_solves):

@@ -203,7 +203,7 @@ class TestPPMSessionCache:
 
 
 class TestPPMSessionBuild:
-    """The session build reads each traffic's links once and shares them."""
+    """The session build reads each traffic's links and volume once and shares them."""
 
     @staticmethod
     def _problem(matrix):
@@ -226,12 +226,40 @@ class TestPPMSessionBuild:
         PPMSession(problem, backend="simplex")
         assert reads[0] == len(problem.traffic)
 
+    def test_build_reads_each_traffics_volume_once(self, small_traffic, monkeypatch):
+        # Traffic.volume re-sums the routes on every read: the coverage row,
+        # its right-hand side and the colgen hints share one read per traffic
+        # and lower the same numbers as reading each afresh.
+        from repro.passive.ilp import PPMSession
+        from repro.traffic.demands import Traffic
+
+        problem = self._problem(small_traffic)
+        expected_rhs = -problem.required_volume
+        expected_coeffs = [-t.volume for t in problem.traffic]
+        reads = [0]
+        volume = Traffic.volume
+
+        def counted(traffic):
+            reads[0] += 1
+            return volume.fget(traffic)
+
+        monkeypatch.setattr(Traffic, "volume", property(counted))
+        session = PPMSession(problem, backend="simplex")
+        assert reads[0] == len(problem.traffic)
+        form = session._session.form
+        row = form.row_map["coverage"][1]
+        assert form.b_ub[row] == expected_rhs
+        n_links = len(problem.candidate_links)
+        coeffs = [form.A_ub.get(row, n_links + j) for j in range(len(problem.traffic))]
+        assert coeffs == expected_coeffs
+
     def test_column_universe_follows_the_traffic_links(self, small_traffic):
         from repro.passive.ilp import _crossing_links, lp2_column_universe
 
         problem = self._problem(small_traffic)
         candidates = set(problem.candidate_links)
-        columns = list(lp2_column_universe(problem, _crossing_links(problem)))
+        volumes = [t.volume for t in problem.traffic]
+        columns = list(lp2_column_universe(problem, _crossing_links(problem), volumes))
         n_links = len(problem.candidate_links)
         assert len(columns) == n_links + len(problem.traffic)
         for link, col in zip(problem.candidate_links, columns[:n_links]):
