@@ -17,8 +17,8 @@ original selection heuristic of [Nguyen & Thiran].
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 from repro.covering.vertex_cover import (
     VertexCoverInstance,

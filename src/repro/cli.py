@@ -11,7 +11,7 @@ Four subcommands cover the library's main workflows::
 ``active`` computes probes and places beacons (baseline, greedy, ILP),
 ``figures`` regenerates the data series of the paper's evaluation figures,
 and ``lint-model`` lowers the paper's placement programs *without solving
-them* and runs the pre-solve static analyzer
+them* and runs the static model analyzer
 (:mod:`repro.optim.analysis`) over the matrices, exiting non-zero on
 error-severity findings.
 """
@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint-model",
-        help="run the pre-solve static analyzer over the placement programs",
+        help="run the static model analyzer over the placement programs",
     )
     _add_common(lint)
     lint.add_argument("--coverage", type=float, default=0.95,

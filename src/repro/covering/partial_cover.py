@@ -10,7 +10,7 @@ volumes) is what PPM(k) actually is; both are supported here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Hashable, Iterable, List, Set
 
 from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError

@@ -11,7 +11,7 @@ approximation ratio [Slavik 1996, Feige 1998].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set
 
 from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError, InternalSolverError

@@ -10,8 +10,8 @@ monitoring-specific wrapper lives in :mod:`repro.active.beacons`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.optim import Model, lin_sum, selected
 from repro.optim.errors import InfeasibleError
@@ -130,7 +130,7 @@ def build_vertex_cover_model(instance: VertexCoverInstance):
 
     Returns ``(model, y)`` where ``y`` maps each vertex to its binary
     variable.  Shared by :func:`exact_vertex_cover` and the ``repro
-    lint-model`` CLI, which runs the pre-solve static analyzer over the
+    lint-model`` CLI, which runs the static model analyzer over the
     lowered matrices.
     """
     _check_feasible(instance)

@@ -11,8 +11,8 @@ by the test suite.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.active.beacons import sweep_candidate_sizes
 from repro.passive.costs import uniform_costs
@@ -22,9 +22,8 @@ from repro.passive.ilp import solve_ilp
 from repro.passive.problem import PPMProblem
 from repro.passive.sampling import SamplingProblem, solve_ppme
 from repro.topology.generators import paper_pop
-from repro.topology.pop import POPTopology
 from repro.traffic.demands import Traffic, TrafficMatrix
-from repro.traffic.generation import DemandConfig, generate_traffic_matrix
+from repro.traffic.generation import generate_traffic_matrix
 
 #: Coverage sweep of Figures 7 and 8 (75% to 100% in 5% steps).
 PAPER_COVERAGES: Tuple[float, ...] = (0.75, 0.80, 0.85, 0.90, 0.95, 1.00)

@@ -9,7 +9,7 @@ the benchmarks can print exactly the rows the paper plots.
 from __future__ import annotations
 
 import io
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 
 def format_table(

@@ -27,7 +27,6 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 
 from repro.flows.min_cost_flow import FlowNetwork, successive_shortest_paths
 from repro.optim import Model, lin_sum, selected
-from repro.optim.errors import InfeasibleError
 
 #: Identifier of a network link in the MECF instance (opaque, hashable).
 EdgeId = Hashable

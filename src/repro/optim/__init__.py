@@ -25,14 +25,12 @@ CPLEX plays in the original article:
 * :mod:`repro.optim.instrumentation` -- global counters (pivots,
   factorizations, canonicalizations, peak nonzeros, analyzer runs) the
   benchmarks persist alongside wall-times.
-* :mod:`repro.optim.analysis` -- a pre-solve static analyzer over lowered
+* :mod:`repro.optim.analysis` -- a static analyzer over lowered
   :class:`~repro.optim.model.StandardForm` matrices: shape/dtype/NaN/Inf
   validation and scaling warnings, plus a presolve dry run that reports
-  infeasible, redundant and duplicate rows and fixable columns.  Wired
-  into every backend behind the ``check="off"|"warn"|"strict"`` solver
-  option; ``"warn"`` findings route through
-  :mod:`repro.optim.diagnostics`, ``"strict"`` raises
-  :class:`~repro.optim.errors.ModelAnalysisError`.
+  infeasible, redundant and duplicate rows and fixable columns.  It runs
+  without solving, as ``python -m repro lint-model``; findings format
+  through :mod:`repro.optim.diagnostics`.
 * :mod:`repro.optim.presolve` -- the one module that reasons about rows and
   columns over the variable bounds: shrinks a lowered form (fixed/empty
   columns, singleton/redundant/forcing/parallel rows, integer coefficient
@@ -40,9 +38,9 @@ CPLEX plays in the original article:
   infeasibility where it can, and maps solutions back through a
   :class:`~repro.optim.presolve.Postsolve`.  Runs by default on every
   backend (``presolve="on"|"off"``).
-* :mod:`repro.optim.cuts` -- cover and Gomory mixed-integer cutting planes
-  separated at the branch-and-bound root (cut-and-branch), plus node-level
-  reduced-cost bound fixing (``cuts="auto"|"off"``, ``max_cut_rounds``).
+* :mod:`repro.optim.cuts` -- implied cardinality, cover and Gomory
+  mixed-integer cutting planes separated at the branch-and-bound root
+  (cut-and-branch), plus node-level reduced-cost bound fixing.
 * :mod:`repro.optim.resilience` -- the resilient-solve layer: a monotonic
   :class:`~repro.optim.resilience.Deadline` created once per solve and
   threaded through presolve, simplex, cut separation and branch and bound;
@@ -89,8 +87,8 @@ The revised simplex has two independent performance axes:
   under either rule, and primal-degenerate stalls escalate to the
   recovery ladder's bound-shift rung rather than spinning.
 
-Solver options (``time_limit``, ``mip_gap``, ``max_iter``, ``max_nodes``,
-``gap_tol``, ``fallback``, ...) use one unified vocabulary; the
+Solver options (``time_limit``, ``max_iter``, ``mip_gap``, ``max_nodes``,
+``presolve`` and ``fallback``) use one unified vocabulary; the
 matrix of which backend honors which option lives in
 :data:`repro.optim.backend.BACKEND_OPTIONS`, and unknown option names raise
 :class:`~repro.optim.errors.SolverError`.  For parameterized experiments
@@ -115,7 +113,11 @@ Status               Meaning
                      degradation rung).
 ``INFEASIBLE``       Proven infeasible.
 ``UNBOUNDED``        Proven unbounded.
-``ITERATION_LIMIT``  Simplex ``max_iter`` exhausted.
+``ITERATION_LIMIT``  ``max_iter`` exhausted on the ``scipy`` backend, or the
+                     column-generation round cap reached.  The in-house
+                     simplex (``simplex`` and ``branch-and-bound``) raises
+                     :class:`SolverError` instead, which ``fallback="auto"``
+                     fails over.
 ``NODE_LIMIT``       Branch-and-bound ``max_nodes`` exhausted; best
                      incumbent and gap reported.
 ``TIME_LIMIT``       ``time_limit`` wall-clock budget exhausted (any
@@ -145,7 +147,6 @@ The public entry point is :class:`repro.optim.model.Model`:
 from repro.optim.errors import (
     InfeasibleError,
     InternalSolverError,
-    ModelAnalysisError,
     OptimError,
     SolverError,
     UnboundedError,
@@ -170,7 +171,6 @@ __all__ = [
     "InternalSolverError",
     "LinExpr",
     "Model",
-    "ModelAnalysisError",
     "OptimError",
     "Postsolve",
     "ReducedForm",

@@ -1,4 +1,4 @@
-"""Pre-solve static analysis of lowered :class:`StandardForm` models.
+"""Static analysis of lowered :class:`StandardForm` models.
 
 The placement formulations of the paper (Linear programs 2/3 and the MILP
 variants) are only trustworthy when the matrices handed to the solvers are
@@ -37,49 +37,43 @@ Rule catalogue (rule id -- severity -- meaning):
 ``presolve-coeffs``        info     presolve tightens matrix coefficients
 =========================  =======  =========================================
 
-Severities: ``error`` findings make ``check="strict"`` solves raise
-:class:`~repro.optim.errors.ModelAnalysisError`; ``warning`` and ``info``
-findings are reported through :mod:`repro.optim.diagnostics` under
-``check="warn"`` but never block a solve.
+Severities: ``error`` findings make ``python -m repro lint-model`` (the
+analyzer's command-line front end) exit non-zero; ``warning`` and ``info``
+findings are reported but never fail it.  No solve runs the analyzer:
+NaN/Inf model data is rejected where it enters (``Variable``,
+:meth:`repro.optim.model.Model.to_standard_form` and the
+``SolverSession.update_*`` patches), and a solve's own presolve (on by
+default) refutes what the dry run would.
 
 The analyzer never densifies, but the dry run costs a full presolve: on a
 2-vCPU Xeon host :func:`analyze_form` takes about 9 ms on the pop10 LP2
 (158 columns) and about 110 ms on the pop15 LP2 (1,963 columns), about
-three times the validation passes alone.  ``check="warn"`` and
-``"strict"`` re-run it before every solve of a session, so leave ``check``
-off in tight re-solve loops; no workload of the repository benchmark
-(``perfbench``) turns it on.
+three times the validation passes alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
 from repro.optim import instrumentation as instr
-from repro.optim.errors import ModelAnalysisError
 from repro.optim.model import StandardForm
 
 __all__ = [
-    "CHECK_MODES",
     "Diagnostic",
     "ERROR",
     "INFO",
     "WARNING",
     "analyze_form",
-    "enforce",
     "has_errors",
 ]
 
 #: Diagnostic severities, most severe first.
 ERROR, WARNING, INFO = "error", "warning", "info"
 _SEVERITY_RANK = {ERROR: 0, WARNING: 1, INFO: 2}
-
-#: Solver option values accepted for ``check=``.
-CHECK_MODES = ("off", "warn", "strict")
 
 #: Per-row max/min |a_ij| spread above which ``scaling-row`` fires.
 ROW_SPREAD_LIMIT = 1e8
@@ -357,41 +351,3 @@ def analyze_form(form: StandardForm) -> List[Diagnostic]:
     instr.add("analyzer_runs")
     instr.add("analyzer_findings", len(out))
     return out
-
-
-def enforce(
-    form: StandardForm,
-    mode: str,
-    label: str = "model",
-    diagnostics: Optional[List[Diagnostic]] = None,
-) -> List[Diagnostic]:
-    """Analyze ``form`` under solver option semantics.
-
-    ``mode`` is one of :data:`CHECK_MODES`: ``"off"`` skips the analysis
-    entirely, ``"warn"`` reports every finding through
-    :mod:`repro.optim.diagnostics`, and ``"strict"`` additionally raises
-    :class:`~repro.optim.errors.ModelAnalysisError` when error-severity
-    findings are present.  Pre-computed ``diagnostics`` may be passed to
-    avoid re-analyzing.  Returns the findings (empty under ``"off"``).
-    """
-    from repro.optim import diagnostics as reporter
-
-    if mode not in CHECK_MODES:
-        raise ModelAnalysisError(
-            f"unknown check mode {mode!r}; expected one of {CHECK_MODES}"
-        )
-    if mode == "off":
-        return []
-    found = analyze_form(form) if diagnostics is None else diagnostics
-    if found:
-        reporter.report(found, label=label)
-    errors = [d for d in found if d.severity == ERROR]
-    if mode == "strict" and errors:
-        summary = "; ".join(str(d) for d in errors[:5])
-        if len(errors) > 5:
-            summary += f"; ... {len(errors) - 5} more"
-        raise ModelAnalysisError(
-            f"static analysis found {len(errors)} error(s) in {label!r}: {summary}",
-            diagnostics=tuple(errors),
-        )
-    return found

@@ -18,29 +18,28 @@ Option names are unified across backends; passing an option a backend does
 not recognize raises :class:`~repro.optim.errors.SolverError` instead of
 being silently dropped:
 
-==================  ========  =========  ==================
-Option              scipy     simplex    branch-and-bound
-==================  ========  =========  ==================
-``time_limit``      yes       yes        yes
-``mip_gap``         yes(MIP)  --         yes
-``max_iter``        yes(LP)   yes        yes (node LPs)
-``max_nodes``       --        --         yes
-``gap_tol``         --        --         yes
-``check``           yes       yes        yes
-``presolve``        yes       yes        yes
-``cuts``            --        --         yes
-``max_cut_rounds``  --        --         yes
-``fallback``        yes       yes        yes
-==================  ========  =========  ==================
+==============  ========  =========  ==================
+Option          scipy     simplex    branch-and-bound
+==============  ========  =========  ==================
+``time_limit``  yes       yes        yes
+``mip_gap``     yes(MIP)  --         yes
+``max_iter``    yes(LP)   yes        yes (node LPs)
+``max_nodes``   --        --         yes
+``presolve``    yes       yes        yes
+``fallback``    yes       yes        yes
+==============  ========  =========  ==================
 
 ``mip_gap`` is a *relative* optimality gap everywhere (HiGHS
-``mip_rel_gap`` semantics); ``gap_tol`` is the in-house branch-and-bound's
-absolute fathoming tolerance.  ``max_iter`` bounds simplex iterations, and on
-the branch-and-bound backend it is forwarded to every node LP solve.
+``mip_rel_gap`` semantics).  ``max_iter`` bounds simplex iterations, and on
+the branch-and-bound backend it is forwarded to every node LP solve.  HiGHS
+and column generation return ``ITERATION_LIMIT`` when it runs out; the
+in-house simplex raises :class:`~repro.optim.errors.SolverError`, which
+``fallback="auto"`` fails over.
 
-No option picks the in-house algorithms; the size of the LP does.  The
-primal simplex prices with devex from
-:data:`repro.optim.simplex._DEVEX_MIN_COLS` canonical columns and with
+No option picks the in-house algorithms; the size of the LP does, and
+branch and bound's root cut rounds and fathoming gap are constants of
+:mod:`repro.optim.branch_and_bound`.  The primal simplex prices with devex
+from :data:`repro.optim.simplex._DEVEX_MIN_COLS` canonical columns and with
 Dantzig's rule below (see :mod:`repro.optim.simplex`), and the in-house
 backends solve a lowered LP by column generation from
 :data:`repro.optim.colgen._COLGEN_MIN_COLS` columns
@@ -76,20 +75,7 @@ weakened guarantee, and the error messages that forced it.
 backend sees it and maps the solution back afterwards; integer-only
 reductions are applied exactly when the resolved backend will enforce
 integrality (i.e. not on the ``simplex`` backend, which solves the LP
-relaxation).  ``cuts`` (``"auto"``/``"off"``) and ``max_cut_rounds`` steer
-the branch-and-bound root cutting-plane loop (:mod:`repro.optim.cuts`).
-
-``check`` runs the pre-solve static analyzer
-(:mod:`repro.optim.analysis`) over the lowered :class:`StandardForm` before
-it reaches any backend: ``"off"`` (the default) skips it, ``"warn"`` reports
-findings through :mod:`repro.optim.diagnostics`, and ``"strict"`` raises
-:class:`~repro.optim.errors.ModelAnalysisError` on error-severity findings.
-The analyzer validates the arrays and then dry-runs presolve (which never
-mutates the form), so ``"warn"`` and ``"strict"`` cost one extra presolve
-per solve, whatever the ``presolve`` option says; ``"off"`` runs neither.  On a
-:class:`SolverSession` the analysis re-runs against the *patched* matrices
-before every solve, which is exactly when programmatic updates can silently
-break a model.
+relaxation).
 
 Warm starts and re-solves
 -------------------------
@@ -111,7 +97,6 @@ from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
-from repro.optim import analysis
 from repro.optim import faultinject
 from repro.optim._types import FloatArray
 from repro.optim.errors import InfeasibleError, ModelError, SolverError, UnboundedError
@@ -128,41 +113,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only (solvers are imported lazily)
 BACKENDS = ("auto", "scipy", "simplex", "branch-and-bound")
 
 #: Options each concrete backend honors; anything else raises SolverError.
-#: ``check`` is handled by the dispatcher itself and is therefore valid for
-#: every backend.
 BACKEND_OPTIONS: Dict[str, FrozenSet[str]] = {
-    "scipy": frozenset(
-        {
-            "time_limit",
-            "mip_gap",
-            "max_iter",
-            "check",
-            "presolve",
-            "fallback",
-        }
-    ),
-    "simplex": frozenset(
-        {
-            "max_iter",
-            "time_limit",
-            "check",
-            "presolve",
-            "fallback",
-        }
-    ),
+    "scipy": frozenset({"time_limit", "mip_gap", "max_iter", "presolve", "fallback"}),
+    "simplex": frozenset({"max_iter", "time_limit", "presolve", "fallback"}),
     "branch-and-bound": frozenset(
-        {
-            "max_nodes",
-            "gap_tol",
-            "mip_gap",
-            "max_iter",
-            "time_limit",
-            "check",
-            "presolve",
-            "cuts",
-            "max_cut_rounds",
-            "fallback",
-        }
+        {"max_nodes", "mip_gap", "max_iter", "time_limit", "presolve", "fallback"}
     ),
 }
 
@@ -218,22 +173,6 @@ def _check_options(backend: str, options: Dict[str, Any]) -> None:
                 f"time_limit must be a positive finite number of seconds, "
                 f"got {time_limit!r}"
             )
-    if "max_cut_rounds" in options:
-        max_cut_rounds = options["max_cut_rounds"]
-        if not isinstance(max_cut_rounds, int) or max_cut_rounds < 0:
-            raise SolverError(
-                f"max_cut_rounds must be a non-negative integer, got {max_cut_rounds!r}"
-            )
-
-
-def _pop_check_mode(options: Dict[str, Any]) -> str:
-    """Extract and validate the dispatcher-level ``check`` option."""
-    mode = options.pop("check", "off")
-    if mode not in analysis.CHECK_MODES:
-        raise SolverError(
-            f"check option must be one of {analysis.CHECK_MODES}, got {mode!r}"
-        )
-    return str(mode)
 
 
 def _pop_presolve_mode(options: Dict[str, Any]) -> str:
@@ -346,11 +285,8 @@ def _dispatch_form(
     return solve_milp(
         form,
         max_nodes=options.get("max_nodes", 100_000),
-        gap_tol=options.get("gap_tol", 1e-9),
         mip_gap=options.get("mip_gap"),
         max_iter=options.get("max_iter"),
-        cuts=options.get("cuts", "auto"),
-        max_cut_rounds=options.get("max_cut_rounds", 5),
         deadline=deadline,
     )
 
@@ -465,17 +401,11 @@ def solve_model(
         :class:`~repro.optim.errors.UnboundedError` instead of being returned.
     options:
         Backend-specific options; see :data:`BACKEND_OPTIONS` for the matrix.
-        Unrecognized option names raise :class:`SolverError`.  The
-        dispatcher-level ``check`` option (``"off"``/``"warn"``/``"strict"``)
-        runs the pre-solve static analyzer over the lowered form.
+        Unrecognized option names raise :class:`SolverError`.
     """
     resolved = _resolve_backend(backend, model.is_mip)
     _check_options(resolved, options)
-    remaining = dict(options)
-    check_mode = _pop_check_mode(remaining)
-    form = model.to_standard_form()
-    analysis.enforce(form, check_mode, label=model.name)
-    solution = _solve_form(form, model.is_mip, resolved, remaining)
+    solution = _solve_form(model.to_standard_form(), model.is_mip, resolved, options)
     if raise_on_infeasible:
         _raise_for_status(solution, model.name)
     return solution
@@ -504,8 +434,6 @@ class SolverSession:
       sign flip internally via :attr:`StandardForm.row_map`.
     * Each successful solve is attached back to the model, so
       :meth:`Model.value` keeps working after session re-solves.
-    * A session-level ``check`` option re-runs the static analyzer against
-      the patched matrices before *every* solve.
     """
 
     def __init__(self, model: Model, backend: str = "auto", **options: Any) -> None:
@@ -514,7 +442,6 @@ class SolverSession:
         self.backend = _resolve_backend(backend, self._is_mip)
         _check_options(self.backend, options)
         self.options: Dict[str, Any] = dict(options)
-        self.check = _pop_check_mode(self.options)
         self.form = model.to_standard_form()
         self._sign = -1.0 if self.form.maximize else 1.0
         self._simplex: Optional["SimplexSolver"] = None  # lazy, for warm starts
@@ -638,22 +565,6 @@ class SolverSession:
         if ub is not None:
             self.form.ub[index] = float(ub)
 
-    # -- static analysis ----------------------------------------------------
-    def analyze(self, mode: Optional[str] = None) -> List["analysis.Diagnostic"]:
-        """Run the static analyzer against the current (patched) matrices.
-
-        ``mode`` defaults to the session's ``check`` option; ``"strict"``
-        raises :class:`~repro.optim.errors.ModelAnalysisError` on
-        error-severity findings.  With ``mode="off"`` this is a no-op
-        returning an empty list.
-        """
-        effective = self.check if mode is None else mode
-        if effective not in analysis.CHECK_MODES:
-            raise SolverError(
-                f"check option must be one of {analysis.CHECK_MODES}, got {effective!r}"
-            )
-        return analysis.enforce(self.form, effective, label=self.model.name)
-
     # -- solving -----------------------------------------------------------
     def _solve_colgen(self, merged: Dict[str, Any], deadline: Optional[Deadline]) -> Solution:
         """Column-generation path: one driver kept across re-solves.
@@ -725,17 +636,13 @@ class SolverSession:
     def solve(self, raise_on_infeasible: bool = False, **options: Any) -> Solution:
         """Re-solve against the current (patched) matrices.
 
-        ``options`` override the session-level defaults for this call only
-        (the ``check`` mode included).
+        ``options`` override the session-level defaults for this call only.
         """
         from repro.optim.colgen import decomposes
 
         merged = dict(self.options)
-        merged["check"] = self.check
         merged.update(options)
         _check_options(self.backend, merged)
-        check_mode = _pop_check_mode(merged)
-        analysis.enforce(self.form, check_mode, label=self.model.name)
 
         is_mip = self._is_mip and self.backend != "simplex"
         if self.backend != "scipy" and not is_mip and decomposes(self.form):

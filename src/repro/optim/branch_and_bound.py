@@ -20,15 +20,18 @@ each child warm-starts from its parent's factorized basis -- typically a
 handful of dual simplex pivots repair the branching bound change, with no
 phase 1 and no re-canonicalization.
 
-The tree search is preceded by a *cut-and-branch* root loop (``cuts="auto"``,
-see :mod:`repro.optim.cuts`): up to ``max_cut_rounds`` rounds of cover and
-Gomory mixed-integer cut separation tighten the root relaxation before any
-branching happens.  Cuts are only ever added at the root -- mid-tree rows
-would invalidate the warm-start bases the nodes share -- and every cut is
-valid for the full integer hull, so the rounding heuristic and feasibility
-checks below need no changes.  After each optimal node LP, reduced-cost
-fixing tightens the node's integer bounds against the incumbent before the
-children are pushed.
+The tree search is preceded by a *cut-and-branch* root loop (see
+:mod:`repro.optim.cuts`): up to :data:`_MAX_CUT_ROUNDS` rounds of implied
+cardinality, cover and Gomory mixed-integer cut separation tighten the root
+relaxation before any branching happens.  The loop runs when the form has
+integer columns and a nonzero objective: at a zero objective (the
+feasibility probe below) every point is optimal, so there is no bound to
+tighten.  Cuts are only ever added at the root -- mid-tree rows would
+invalidate the warm-start bases the nodes share -- and every cut is valid
+for the full integer hull, so the rounding heuristic and feasibility checks
+below need no changes.  After each optimal node LP with an incumbent in
+hand, reduced-cost fixing tightens the node's integer bounds against it
+before the children are pushed.
 
 When every integer point has an integer objective (less the constant
 offset) -- ``c`` is nonzero, every integer column costs a whole number and
@@ -40,33 +43,28 @@ incumbent is then held at its cost on the rounded integer point, never at
 its LP value, which can sit off the grid by up to ``sum|c| * INT_TOL``.  A
 limit exit reports its gap against the best open bound rounded up to the
 grid, ``offset + ceil(bound - offset - 1e-6)``.  The form decides this once
-per call, after the root cut rounds; no option selects it.
+per call, after the root cut rounds; no option selects it.  Off the grid a
+node is fathomed once its bound comes within :data:`_GAP_TOL` of the
+incumbent.
 
 Options honored by this backend (see :func:`repro.optim.backend.solve_model`):
 
-==================  ======================================================
-``max_nodes``       Limit on explored nodes; exceeding it returns the best
-                    incumbent with status ``NODE_LIMIT`` (open nodes are
-                    never silently discarded, so the reported bound/gap is
-                    correct).
-``gap_tol``         Absolute incumbent gap below which a node is fathomed;
-                    on an integer-grid objective the gap is at least
-                    ``1 - 1e-6``.
-``mip_gap``         Relative optimality gap; a node within ``mip_gap *
-                    |incumbent|`` of the incumbent is fathomed, mirroring
-                    the HiGHS ``mip_rel_gap`` option.
-``max_iter``        Simplex iteration limit forwarded to every node LP
-                    solve.
-``time_limit``      Wall-clock limit in seconds, enforced through a shared
-                    :class:`repro.optim.resilience.Deadline` that also
-                    bounds cut separation, strong-branching probes and the
-                    node LP pivots themselves; on expiry the best incumbent
-                    is returned with status ``TIME_LIMIT`` and an honest
-                    bound/gap.
-``cuts``            ``"auto"`` (default) runs the root cutting-plane loop
-                    and reduced-cost fixing; ``"off"`` disables both.
-``max_cut_rounds``  Bound on root separation rounds (default 5).
-==================  ======================================================
+==============  ==========================================================
+``max_nodes``   Limit on explored nodes; exceeding it returns the best
+                incumbent with status ``NODE_LIMIT`` (open nodes are never
+                silently discarded, so the reported bound/gap is correct).
+``mip_gap``     Relative optimality gap; a node within ``mip_gap *
+                |incumbent|`` of the incumbent is fathomed, mirroring the
+                HiGHS ``mip_rel_gap`` option.
+``max_iter``    Simplex iteration limit forwarded to every node LP solve; a
+                node LP that runs out raises
+                :class:`~repro.optim.errors.SolverError`.
+``time_limit``  Wall-clock limit in seconds, enforced through a shared
+                :class:`repro.optim.resilience.Deadline` that also bounds
+                cut separation, strong-branching probes and the node LP
+                pivots themselves; on expiry the best incumbent is returned
+                with status ``TIME_LIMIT`` and an honest bound/gap.
+==============  ==========================================================
 
 Status contract for degenerate roots: when the root relaxation is unbounded
 the MILP may be either unbounded or infeasible.  The driver probes with a
@@ -94,7 +92,7 @@ from repro.optim.cuts import (
     separate_gomory_cuts,
     separate_implied_cardinality_cuts,
 )
-from repro.optim.errors import InternalSolverError, SolverError
+from repro.optim.errors import InternalSolverError
 from repro.optim.model import StandardForm
 from repro.optim.resilience import Deadline
 from repro.optim.simplex import SimplexSolver, _Basis, resolve_appended
@@ -120,6 +118,13 @@ _SB_PROBES_PER_NODE = 8
 #: Tolerance of the integer-grid cutoff: an LP bound up to this far above a
 #: grid point still counts as that point, so LP round-off cannot fathom it.
 _GRID_TOL = 1e-6
+
+#: Absolute gap below the incumbent from which a node is fathomed (on an
+#: integer-grid objective the gap is ``1 - _GRID_TOL`` instead).
+_GAP_TOL = 1e-9
+
+#: Root separation rounds of the cut-and-branch loop; 0 skips the loop.
+_MAX_CUT_ROUNDS = 5
 
 
 def _objective_on_grid(form: StandardForm) -> bool:
@@ -274,7 +279,6 @@ def _root_cut_loop(
     form: StandardForm,
     max_iter: Optional[int],
     deadline: Optional[Deadline],
-    max_cut_rounds: int,
 ) -> Tuple[StandardForm, SimplexSolver, Optional[_Basis]]:
     """Cut-and-branch root loop: tighten the root relaxation before branching.
 
@@ -293,7 +297,7 @@ def _root_cut_loop(
     if deadline is not None and deadline.expired():
         return form, SimplexSolver(form, max_iter=max_iter or 100_000), None
     session, relax, warm = resolve_appended(form, None, max_iter=max_iter, deadline=deadline)
-    for _ in range(max_cut_rounds):
+    for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and deadline.expired():
             break  # whatever was separated so far still tightens the root
         if relax.status is not SolveStatus.OPTIMAL:
@@ -323,11 +327,8 @@ def _root_cut_loop(
 def solve_milp(
     form: StandardForm,
     max_nodes: int = 100_000,
-    gap_tol: float = 1e-9,
     mip_gap: Optional[float] = None,
     max_iter: Optional[int] = None,
-    cuts: str = "auto",
-    max_cut_rounds: int = 5,
     deadline: Optional[Deadline] = None,
 ) -> Solution:
     """Solve a mixed-integer program by branch and bound.
@@ -343,10 +344,6 @@ def solve_milp(
         Safety limit on the number of explored nodes.  The limit is checked
         *before* a node is popped, so hitting it never discards an open node
         and a ``NODE_LIMIT`` result reflects a resumable frontier.
-    gap_tol:
-        Absolute gap below which a node is fathomed against the incumbent.
-        On an integer-grid objective (see the module docstring) a node is
-        fathomed from ``1 - 1e-6`` below the incumbent whatever its value.
     mip_gap:
         Optional relative gap; nodes within ``mip_gap * |incumbent|`` of the
         incumbent are fathomed (same semantics as HiGHS ``mip_rel_gap``).
@@ -357,13 +354,6 @@ def solve_milp(
         backend dispatcher, which starts the clock before presolve, or
         ``Deadline(seconds)`` for a direct call).  It propagates into node
         LP pivots, root cut separation and strong-branching probes.
-    cuts:
-        ``"auto"`` (default) enables the root cutting-plane loop and
-        per-node reduced-cost fixing; ``"off"`` disables both (used by the
-        feasibility probe and by differential tests needing a clean
-        baseline).
-    max_cut_rounds:
-        Maximum number of root separation rounds under ``cuts="auto"``.
 
     Returns
     -------
@@ -378,12 +368,13 @@ def solve_milp(
         On an integer-grid objective that bound is first rounded up to the
         grid.
     """
-    if cuts not in ("auto", "off"):
-        raise SolverError(f"cuts must be 'auto' or 'off', got {cuts!r}")
     sign = -1.0 if form.maximize else 1.0
+    # Cuts and strong-branching probes both tighten the objective bound,
+    # which a zero objective (the feasibility probe) does not have.
+    has_objective = bool(np.any(form.c))
     root_warm: Optional[_Basis] = None
-    if cuts == "auto" and np.any(np.asarray(form.integrality, dtype=bool)):
-        form, session, root_warm = _root_cut_loop(form, max_iter, deadline, max_cut_rounds)
+    if _MAX_CUT_ROUNDS > 0 and has_objective and np.any(np.asarray(form.integrality, dtype=bool)):
+        form, session, root_warm = _root_cut_loop(form, max_iter, deadline)
     else:
         session = SimplexSolver(form, max_iter=max_iter or 100_000)
     integral_mask = np.asarray(form.integrality, dtype=bool)
@@ -408,11 +399,11 @@ def solve_milp(
         """Fathoming threshold against the incumbent (absolute + relative gap).
 
         On the grid a bound of ``I - 1 + 1e-6`` already rules out a better
-        point, whatever ``gap_tol`` says.
+        point.
         """
         if incumbent_cost == math.inf:
             return math.inf
-        slack = gap_tol
+        slack = _GAP_TOL
         if on_grid:
             slack = max(slack, 1.0 - _GRID_TOL)
         if mip_gap is not None:
@@ -431,10 +422,8 @@ def solve_milp(
         probe = solve_milp(
             _feasibility_form(form, lb, ub),
             max_nodes=max(budget, 1),
-            gap_tol=gap_tol,
             max_iter=max_iter,
             deadline=deadline,
-            cuts="off",  # a zero objective makes every fractional point uncuttable
         )
         return probe.status
 
@@ -443,9 +432,9 @@ def solve_milp(
     )
     pseudo = _Pseudocosts(form.c.size)
     # Strong branching probes exist to estimate objective degradation; with a
-    # zero objective (the feasibility probe) every degradation is zero, so
-    # skip probing and let the score degenerate to most-fractional.
-    sb_budget = _SB_PROBE_BUDGET if np.any(form.c) else 0
+    # zero objective every degradation is zero, so skip probing and let the
+    # score degenerate to most-fractional.
+    sb_budget = _SB_PROBE_BUDGET if has_objective else 0
     counter = itertools.count(1)
     heap: List[_Node] = [root]
     incumbent: Optional[Dict[str, float]] = None
@@ -535,8 +524,9 @@ def solve_milp(
         # Reduced-cost fixing: with an incumbent in hand, nonbasic integer
         # variables whose reduced cost prices any move off their bound above
         # the remaining gap get their opposite bound pulled in, shrinking
-        # both children (and sometimes fixing the variable outright).
-        if cuts == "auto" and incumbent_cost < math.inf:
+        # both children (and sometimes fixing the variable outright).  At a
+        # zero objective the cutoff sits below every node, so nothing moves.
+        if incumbent_cost < math.inf:
             node.lb, node.ub, n_rc_fixed = reduced_cost_fixing(
                 x, relax.reduced_costs, node.lb, node.ub, form.integrality, cutoff() - cost
             )

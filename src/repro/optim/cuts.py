@@ -86,6 +86,12 @@ _MAX_DYNAMISM = 1e7
 #: Integrality tolerance shared with the branch-and-bound driver.
 _INT_TOL = 1e-6
 
+#: Most cuts one cover or Gomory separation call returns.
+_MAX_CUTS = 20
+
+#: Most implied cardinality cuts one call returns (more: the decisive family).
+_MAX_CARDINALITY_CUTS = 60
+
 
 @dataclass
 class Cut:
@@ -111,13 +117,12 @@ def _rows_of(matrix: SparseMatrix, m: int) -> List[Tuple[IntArray, FloatArray]]:
 def separate_cover_cuts(
     form: StandardForm,
     x: FloatArray,
-    max_cuts: int = 20,
     deadline: Optional[Deadline] = None,
 ) -> List[Cut]:
     """Greedy cover cuts from the all-binary ``<=`` rows of ``form``.
 
     ``x`` is the fractional point to cut off (original variable order).
-    Returns at most ``max_cuts`` cuts, most violated first.  An expired
+    Returns at most :data:`_MAX_CUTS` cuts, most violated first.  An expired
     ``deadline`` stops the row scan early; whatever was separated so far is
     still valid.
     """
@@ -161,13 +166,12 @@ def separate_cover_cuts(
         rhs = float(len(chosen) - 1 - int(np.count_nonzero(neg[sel])))
         found.append((1.0 - violation, Cut(cut_cols.copy(), cut_vals, rhs, kind="cover")))
     found.sort(key=lambda item: -item[0])
-    return [cut for _, cut in found[:max_cuts]]
+    return [cut for _, cut in found[:_MAX_CUTS]]
 
 
 def separate_implied_cardinality_cuts(
     form: StandardForm,
     x: FloatArray,
-    max_cuts: int = 60,
     deadline: Optional[Deadline] = None,
 ) -> List[Cut]:
     """Cardinality cuts from variable-upper-bound substitution + CG rounding.
@@ -188,8 +192,8 @@ def separate_implied_cardinality_cuts(
     with ``k0 = ceil(-b'/W)`` and ``k1 = ceil((-b' + w_delta)/W)``.  Both
     the base cut (``k0 >= 1``) and the per-demander lift are valid for every
     integer point, independent of the LP -- the strength over the LP
-    relaxation is exactly the ceiling.  Returns at most ``max_cuts`` cuts
-    violated by ``x``, most violated first.
+    relaxation is exactly the ceiling.  Returns at most
+    :data:`_MAX_CARDINALITY_CUTS` cuts violated by ``x``, most violated first.
     """
     integrality = np.asarray(form.integrality) != 0
     lb = np.asarray(form.lb, dtype=float)
@@ -284,7 +288,7 @@ def separate_implied_cardinality_cuts(
                 (violation, Cut(cut_cols.astype(np.int64), cut_vals.astype(float), rhs, kind="implied-card"))
             )
     found.sort(key=lambda item: -item[0])
-    return [cut for _, cut in found[:max_cuts]]
+    return [cut for _, cut in found[:_MAX_CARDINALITY_CUTS]]
 
 
 def separate_gomory_cuts(
@@ -292,7 +296,6 @@ def separate_gomory_cuts(
     token: _Basis,
     form: StandardForm,
     x: FloatArray,
-    max_cuts: int = 20,
     deadline: Optional[Deadline] = None,
 ) -> List[Cut]:
     """Gomory mixed-integer cuts read off a factorized optimal basis.
@@ -300,7 +303,7 @@ def separate_gomory_cuts(
     ``lp`` / ``token`` are the canonical LP and basis returned by the
     in-house :class:`~repro.optim.simplex.SimplexSolver` for the *current*
     ``form``; ``x`` is the (fractional) optimal point in original variable
-    order.  Returns at most ``max_cuts`` cuts in original variable space.
+    order.  Returns at most :data:`_MAX_CUTS` cuts in original variable space.
     """
     if token.factor is None or token.factor.stamp != lp.stamp:
         return []
@@ -337,7 +340,7 @@ def separate_gomory_cuts(
     ub_rows = _rows_of(form.A_ub, int(form.b_ub.shape[0]))
     cuts: List[Cut] = []
     for _, r in candidates:
-        if len(cuts) >= max_cuts:
+        if len(cuts) >= _MAX_CUTS:
             break
         if deadline is not None and deadline.expired():
             break

@@ -1,10 +1,12 @@
-"""Reporting channel for pre-solve analyzer findings.
+"""Reporting channel for :class:`~repro.optim.analysis.Diagnostic` records.
 
-``check="warn"`` solves route their :class:`~repro.optim.analysis.Diagnostic`
-records through this module instead of printing directly, so embedding
+The recovery rungs (:func:`repro.optim.resilience.record_rung`) route their
+findings through this module instead of printing directly, so embedding
 applications can redirect the stream (into a logger, a metrics pipeline, a
 test capture) with :func:`set_handler`.  The default handler writes
-one line per finding to ``sys.stderr``, prefixed with the model label.
+one line per finding to ``sys.stderr``, prefixed with the model label;
+``python -m repro lint-model`` prints the analyzer's findings with
+:func:`format_report`.
 """
 
 from __future__ import annotations

@@ -2,11 +2,6 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.optim.analysis import Diagnostic
-
 
 class OptimError(Exception):
     """Base class for every error raised by :mod:`repro.optim`."""
@@ -36,20 +31,6 @@ class InternalSolverError(SolverError):
     Seeing this exception always indicates a bug in the solver stack, never
     bad user input.
     """
-
-
-class ModelAnalysisError(OptimError):
-    """Raised by ``check="strict"`` solves when the pre-solve static
-    analyzer (:mod:`repro.optim.analysis`) finds error-severity defects in
-    the lowered :class:`~repro.optim.model.StandardForm`.
-
-    The offending :class:`~repro.optim.analysis.Diagnostic` records are
-    attached as :attr:`diagnostics`.
-    """
-
-    def __init__(self, message: str, diagnostics: Tuple["Diagnostic", ...] = ()) -> None:
-        super().__init__(message)
-        self.diagnostics: Tuple["Diagnostic", ...] = diagnostics
 
 
 class InfeasibleError(OptimError):

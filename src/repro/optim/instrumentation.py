@@ -4,10 +4,9 @@ The sparse revised simplex and the branch-and-bound driver report what they
 actually did -- pivots, basis (re)factorizations, canonicalizations, peak
 stored nonzeros -- through this module, so benchmarks can attribute
 wall-time wins to solver behaviour instead of guessing (the counters are
-persisted next to the wall-times in ``BENCH_optim.json``).  The pre-solve
-static analyzer (:mod:`repro.optim.analysis`) reports its runs and finding
-counts here too, so a benchmark run shows whether (and how noisily) model
-checking was enabled.
+persisted next to the wall-times in ``BENCH_optim.json``).  The static
+model analyzer (:mod:`repro.optim.analysis`, run by ``python -m repro
+lint-model``) reports its runs and finding counts here too.
 
 The counters are process-global and not thread-safe; the repo's workloads
 are single-threaded solves.  Typical usage::
@@ -41,7 +40,7 @@ COUNTER_NAMES = (
     "canonicalizations",  # StandardForm -> canonical bounded-LP lowerings
     "lp_solves",          # LP solves completed by the in-house simplex
     "peak_nnz",           # peak stored nonzeros (canonical matrix + eta file)
-    "analyzer_runs",      # pre-solve static analyzer passes executed
+    "analyzer_runs",      # static analyzer passes executed
     "analyzer_findings",  # diagnostics emitted across those passes
     "bb_nodes",           # branch-and-bound nodes explored
     "presolve_rows_removed",    # constraint rows eliminated by presolve

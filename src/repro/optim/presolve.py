@@ -9,7 +9,7 @@ space, so callers keep addressing original indices and names.  The static
 analyzer (:mod:`repro.optim.analysis`) dry-runs :func:`presolve` to report
 infeasible, redundant and duplicate rows instead of detecting them itself.
 
-Reductions applied, to a fixpoint (bounded by ``max_rounds``):
+Reductions applied, to a fixpoint (bounded by :data:`_MAX_ROUNDS` rounds):
 
 * **fixed-variable elimination** -- columns with ``lb == ub`` are substituted
   into the right-hand sides and dropped (their objective contribution moves
@@ -76,6 +76,9 @@ _FIX_TOL = 1e-9
 #: Integrality tolerance for rounding integer bounds (matches the
 #: branch-and-bound INT_TOL).
 _INT_TOL = 1e-6
+
+#: Reduction rounds before presolve stops short of its fixpoint.
+_MAX_ROUNDS = 10
 
 
 @dataclass
@@ -257,7 +260,6 @@ class _Infeasible(Exception):
 def presolve(
     form: StandardForm,
     integer_aware: Optional[bool] = None,
-    max_rounds: int = 10,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[ReducedForm, Postsolve]:
     """Reduce ``form``; returns the shrunken form and its postsolve mapping.
@@ -568,7 +570,7 @@ def presolve(
             fixed_vals[j] = target
 
     try:
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             if deadline is not None and deadline.expired():
                 break
             changed = False

@@ -185,9 +185,7 @@ def _candidate_steps(
     return steps
 
 
-def greedy_form_solve(
-    form: StandardForm, deadline: Optional[Deadline] = None, max_rounds: Optional[int] = None
-) -> Solution:
+def greedy_form_solve(form: StandardForm, deadline: Optional[Deadline] = None) -> Solution:
     """Deterministic feasibility repair over a lowered form.
 
     The last rung of backend failover: when every real solver is gone, find
@@ -216,8 +214,7 @@ def greedy_form_solve(
 
     m = form.A_ub.shape[0]
     act = form.A_ub.matvec(x)
-    rounds = max_rounds if max_rounds is not None else 4 * (n + m) + 32
-    for _ in range(rounds):
+    for _ in range(4 * (n + m) + 32):
         if deadline is not None and deadline.expired():
             return Solution(status=SolveStatus.TIME_LIMIT, backend="greedy", gap=math.inf)
         viol = act - form.b_ub if m else np.zeros(0)

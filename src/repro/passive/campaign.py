@@ -24,7 +24,7 @@ Two variants are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import networkx as nx
 

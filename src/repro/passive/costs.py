@@ -17,7 +17,7 @@ faster link costs more) -- and a container mapping links to their cost pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 from repro.topology.pop import LinkKey, POPTopology, link_key
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
 from repro.optim.errors import InfeasibleError
 from repro.passive.costs import LinkCostModel

@@ -18,7 +18,7 @@ equivalent to Minimum Set Cover (Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set
 
 from repro.covering.partial_cover import PartialCoverInstance
 from repro.covering.set_cover import SetCoverInstance

@@ -20,15 +20,14 @@ minimizing total setup plus exploitation cost
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.optim import Model, lin_sum, selected
-from repro.optim.errors import InfeasibleError
 from repro.passive.costs import LinkCostModel, uniform_costs
 from repro.topology.pop import LinkKey, link_key
-from repro.traffic.demands import Route, Traffic, TrafficMatrix
+from repro.traffic.demands import Route, TrafficMatrix
 
 #: A path is identified by (traffic id, route index within the traffic).
 PathId = Tuple[Hashable, int]

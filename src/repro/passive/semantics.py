@@ -22,7 +22,7 @@ several measurement points on one path").
 from __future__ import annotations
 
 import enum
-from typing import Dict, Hashable, Iterable, Mapping
+from typing import Dict, Iterable, Mapping
 
 from repro.topology.pop import LinkKey, link_key
 from repro.traffic.demands import TrafficMatrix

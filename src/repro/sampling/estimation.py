@@ -18,7 +18,7 @@ remedies implemented here:
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping
 
 from repro.sampling.flows import FlowTrace
 

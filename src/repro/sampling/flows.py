@@ -11,8 +11,8 @@ data.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)

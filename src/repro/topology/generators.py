@@ -23,7 +23,7 @@ magnitude as those reported in the paper.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.topology.pop import NodeRole, POPTopology

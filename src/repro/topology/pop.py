@@ -17,8 +17,7 @@ the paper does (routers = backbone + access, excluding virtual endpoints).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Tuple
 
 import networkx as nx
 

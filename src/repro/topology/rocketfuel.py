@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.topology.pop import NodeRole, POPTopology
 

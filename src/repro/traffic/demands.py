@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.topology.pop import LinkKey, link_key
 

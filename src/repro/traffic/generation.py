@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.topology.pop import NodeRole, POPTopology
+from repro.topology.pop import POPTopology
 from repro.traffic.demands import TrafficMatrix
 from repro.traffic.routing import RoutingConfig, route_demands
 

@@ -93,7 +93,7 @@ class TestDoctoredTree:
         docs = _docs_with_row(
             tmp_path,
             "solver-options.md",
-            "| `cuts` |",
+            "| `max_nodes` |",
             "| `pricing` | `\"devex\"` | simplex | An option the code no longer has. |",
         )
         # Only the Options table lists options: a row of the same file's
@@ -119,6 +119,6 @@ class TestDoctoredTree:
     def test_other_files_untouched_by_one_redaction(self, tmp_path):
         # Redacting an option must not produce counter findings: each table
         # is checked against its own file only.
-        docs = _doctored_docs(tmp_path, "solver-options.md", "max_cut_rounds")
+        docs = _doctored_docs(tmp_path, "solver-options.md", "max_nodes")
         findings = check_docs(docs)
-        assert findings == [f"{docs / 'solver-options.md'}: `max_cut_rounds` is not documented"]
+        assert findings == [f"{docs / 'solver-options.md'}: `max_nodes` is not documented"]

@@ -1,11 +1,10 @@
-"""Tests for the pre-solve static analyzer (:mod:`repro.optim.analysis`).
+"""Tests for the static model analyzer (:mod:`repro.optim.analysis`).
 
 Per-rule units on hand-built broken forms (validation rules and the
-presolve dry run's ``presolve-*`` findings), the ``check=`` solver option
-wiring (off / warn / strict) across backends and sessions, the diagnostics
-reporter, and a property test running the analyzer in strict mode over the
-differential-fuzz model corpus: feasible instances must produce zero
-error-severity findings, and seeded corruptions must be caught.
+presolve dry run's ``presolve-*`` findings), the diagnostics reporter, and
+a property test running the analyzer over the differential-fuzz model
+corpus: feasible instances must produce zero error-severity findings, and
+seeded corruptions must be caught.
 """
 
 from __future__ import annotations
@@ -15,17 +14,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.optim import (
-    Diagnostic,
-    Model,
-    ModelAnalysisError,
-    SolverError,
-    SolveStatus,
-    analyze_form,
-)
+from repro.optim import Diagnostic, Model, SolveStatus, analyze_form
 from repro.optim import diagnostics as diag
 from repro.optim import instrumentation as instr
-from repro.optim.analysis import ERROR, INFO, WARNING, enforce, has_errors
+from repro.optim.analysis import ERROR, INFO, WARNING, has_errors
 from repro.optim.model import StandardForm
 from repro.optim.sparse import SparseMatrix
 
@@ -134,8 +126,7 @@ class TestPerRuleUnits:
         m.add_constr(x >= 1.0, name="floor")
         m.add_constr(x + y <= 0.5, name="cap")
         m.set_objective(x + y)
-        with pytest.raises(ModelAnalysisError, match="presolve-infeasible"):
-            m.solve(check="strict")
+        assert "presolve-infeasible" in _rules(analyze_form(m.to_standard_form()), ERROR)
 
     def test_eq_row_unreachable_rhs(self):
         form = _form([0.0], A_eq=[[1.0]], b_eq=[5.0], ub=[1.0])
@@ -267,111 +258,6 @@ class TestPerRuleUnits:
         assert snap["analyzer_findings"] >= 1
 
 
-class TestEnforceAndWiring:
-    def setup_method(self):
-        self._previous_handler = diag.set_handler(None)
-
-    def teardown_method(self):
-        diag.set_handler(self._previous_handler)
-
-    def _broken_model(self):
-        m = Model("broken", sense="min")
-        x = m.add_var("x", lb=0.0, ub=1.0)
-        m.add_constr(x >= 3.0, name="impossible")
-        m.set_objective(x)
-        return m
-
-    def test_enforce_off_skips(self):
-        assert enforce(self._broken_model().to_standard_form(), "off") == []
-
-    def test_enforce_unknown_mode(self):
-        with pytest.raises(ModelAnalysisError, match="check mode"):
-            enforce(self._broken_model().to_standard_form(), "loud")
-
-    def test_enforce_warn_routes_through_handler(self):
-        captured = []
-        diag.set_handler(lambda label, found: captured.append((label, list(found))))
-        found = enforce(self._broken_model().to_standard_form(), "warn", label="lbl")
-        assert found and captured and captured[0][0] == "lbl"
-        assert [d.rule for d in captured[0][1]] == [d.rule for d in found]
-
-    def test_enforce_strict_raises_with_diagnostics(self):
-        with pytest.raises(ModelAnalysisError, match="presolve-infeasible") as err:
-            enforce(self._broken_model().to_standard_form(), "strict", label="lbl")
-        assert all(isinstance(d, Diagnostic) for d in err.value.diagnostics)
-        assert all(d.severity == ERROR for d in err.value.diagnostics)
-
-    def test_enforce_strict_passes_warnings(self):
-        m = Model("dup", sense="min")
-        x = m.add_var("x", lb=0.0, ub=1.0)
-        m.add_constr(x <= 0.75, name="a")
-        m.add_constr(x <= 0.9, name="b")  # parallel, redundant: info only
-        m.set_objective(-1.0 * x)
-        found = enforce(m.to_standard_form(), "strict")
-        assert found and not has_errors(found)
-
-    @pytest.mark.parametrize("backend", ["simplex", "auto"])
-    def test_solve_check_strict_raises(self, backend):
-        with pytest.raises(ModelAnalysisError):
-            self._broken_model().solve(backend=backend, check="strict")
-
-    def test_solve_check_warn_still_solves(self):
-        captured = []
-        diag.set_handler(lambda label, found: captured.append(label))
-        sol = self._broken_model().solve(backend="simplex", check="warn")
-        assert sol.status is SolveStatus.INFEASIBLE
-        assert captured == ["broken"]
-
-    def test_solve_check_default_off(self):
-        captured = []
-        diag.set_handler(lambda label, found: captured.append(label))
-        sol = self._broken_model().solve(backend="simplex")
-        assert sol.status is SolveStatus.INFEASIBLE
-        assert captured == []
-
-    def test_solve_check_invalid_value(self):
-        with pytest.raises(SolverError, match="check option"):
-            self._broken_model().solve(backend="simplex", check="nope")
-
-    def test_clean_model_solves_under_strict(self):
-        m = Model("clean", sense="max")
-        x = m.add_var("x", lb=0.0, ub=4.0)
-        y = m.add_var("y", lb=0.0, ub=4.0)
-        m.add_constr(x + y <= 4.0, name="cap")
-        m.set_objective(3.0 * x + 2.0 * y)
-        sol = m.solve(backend="simplex", check="strict")
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(12.0)
-
-    def test_session_check_reanalyzes_patched_form(self):
-        m = Model("patched", sense="min")
-        x = m.add_var("x", lb=0.0, ub=1.0)
-        m.add_constr(x <= 0.5, name="cap")
-        m.set_objective(-1.0 * x)
-        session = m.session(backend="simplex", check="strict")
-        assert session.solve().status is SolveStatus.OPTIMAL
-        # Patch the rhs so the row is trivially violated over the bounds:
-        # x <= -2 with x in [0, 1].
-        session.update_constraint_rhs("cap", -2.0)
-        with pytest.raises(ModelAnalysisError, match="presolve-infeasible"):
-            session.solve()
-        # Per-call override relaxes the session default.
-        assert session.solve(check="off").status is SolveStatus.INFEASIBLE
-
-    def test_session_analyze_method(self):
-        m = Model("sess", sense="min")
-        x = m.add_var("x", lb=0.0, ub=1.0)
-        m.add_constr(x <= 0.5, name="cap")
-        m.set_objective(x)
-        session = m.session(backend="simplex")
-        assert not has_errors(session.analyze(mode="warn"))
-        session.update_var_bounds(x, lb=0.75)  # cap is now infeasible
-        found = session.analyze(mode="warn")
-        assert "presolve-infeasible" in _rules(found, ERROR)
-        with pytest.raises(SolverError, match="check option"):
-            session.analyze(mode="bogus")
-
-
 class TestDiagnosticsReporter:
     def test_format_report_tallies(self):
         found = analyze_form(
@@ -400,7 +286,7 @@ class TestDiagnosticsReporter:
 
 
 class TestFuzzCorpusProperty:
-    """Strict-mode analyzer over the differential-fuzz model corpus."""
+    """The analyzer over the differential-fuzz model corpus."""
 
     N_INSTANCES = 250
 
@@ -422,7 +308,7 @@ class TestFuzzCorpusProperty:
             structural = [d for d in found if d.rule in never_expected]
             assert not structural, (k, [str(d) for d in structural])
             # Presolve off: the oracle must not be the code under test.
-            sol = model.solve(check="off", presolve="off")
+            sol = model.solve(presolve="off")
             if has_errors(found):
                 # The only error rule reachable here is the presolve dry
                 # run's refutation; the solver must agree.
@@ -433,9 +319,8 @@ class TestFuzzCorpusProperty:
                 )
                 flagged_infeasible += 1
             elif sol.status is SolveStatus.OPTIMAL:
-                # Feasible instance: strict mode must not block the solve.
-                strict = model.solve(check="strict")
-                assert strict.status is SolveStatus.OPTIMAL
+                # Feasible and unflagged: presolve itself must not refute it.
+                assert model.solve().status is SolveStatus.OPTIMAL
         # The generator produces some trivially infeasible rows; make sure
         # the property test actually exercised the error path.
         assert flagged_infeasible >= 1
@@ -472,11 +357,8 @@ class TestFuzzCorpusProperty:
             if needs_rows and form.b_ub.size == 0:
                 continue
             corrupt(form)
-            found = analyze_form(form)
-            if expected_rule in _rules(found, ERROR):
+            if expected_rule in _rules(analyze_form(form), ERROR):
                 caught += 1
-                with pytest.raises(ModelAnalysisError):
-                    enforce(form, "strict", diagnostics=found)
         assert caught >= 30
 
     def test_corrupted_integrality_caught(self):

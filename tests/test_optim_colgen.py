@@ -62,21 +62,6 @@ class TestDecompositionThreshold:
         monkeypatch.setattr(colgen, "_COLGEN_MIN_COLS", form.num_vars + 1)
         assert not colgen.decomposes(form)
 
-    @pytest.mark.parametrize("rounds", ["x", -1])
-    def test_session_colgen_path_rejects_bad_max_cut_rounds(self, rounds, decompose):
-        """The session column-generation path never reaches the one-shot
-        dispatcher, so the option check must sit where every entry point
-        passes: at construction and on a per-solve override alike.  An LP
-        on the branch-and-bound backend takes that path."""
-        m = _lp_model()
-        with pytest.raises(SolverError, match="max_cut_rounds"):
-            m.session(backend="branch-and-bound", max_cut_rounds=rounds).solve()
-        session = m.session(backend="branch-and-bound")
-        with pytest.raises(SolverError, match="max_cut_rounds"):
-            session.solve(max_cut_rounds=rounds)
-        assert session.solve().objective == pytest.approx(7.0)
-        assert session._colgen is not None
-
     def test_model_solve_decomposes_past_the_threshold(self, decompose):
         sol = _lp_model().solve(backend="simplex")
         assert sol.status is SolveStatus.OPTIMAL

@@ -282,10 +282,11 @@ class TestPresolveCutsDifferential:
             checked += 1
         assert checked >= 40
 
-    def test_presolve_and_cuts_agree_on_random_milps(self):
+    def test_presolve_and_cuts_agree_on_random_milps(self, monkeypatch):
         from repro.optim import solve_model
 
         rng = np.random.default_rng(6061)
+        rounds = branch_and_bound._MAX_CUT_ROUNDS
         checked = 0
         for _ in range(60):
             model = _random_model(rng, mip=True)
@@ -293,13 +294,12 @@ class TestPresolveCutsDifferential:
             reference = scipy_backend.solve_mip(form)
             if reference.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 continue
-            for options in (
-                {"presolve": "on", "cuts": "auto"},
-                {"presolve": "off", "cuts": "auto"},
-                {"presolve": "on", "cuts": "off"},
-            ):
-                ours = solve_model(model, backend="branch-and-bound", **options)
-                _assert_matches(ours, reference, f"MILP #{checked} {options}")
+            for mode, cut_rounds in (("on", rounds), ("off", rounds), ("on", 0)):
+                monkeypatch.setattr(branch_and_bound, "_MAX_CUT_ROUNDS", cut_rounds)
+                ours = solve_model(model, backend="branch-and-bound", presolve=mode)
+                _assert_matches(
+                    ours, reference, f"MILP #{checked} presolve={mode} cut rounds={cut_rounds}"
+                )
             checked += 1
         assert checked >= 30
 

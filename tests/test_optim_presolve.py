@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.optim import Model, SolveStatus, lin_sum, solve_model
-from repro.optim import scipy_backend
+from repro.optim import branch_and_bound, scipy_backend
 from repro.optim.analysis import analyze_form
 from repro.optim.cuts import (
     append_cut_rows,
@@ -425,12 +425,13 @@ class TestCutValidity:
                 assert float(x[cut.cols] @ cut.vals) <= cut.rhs + TOL
         assert checked > 0
 
-    def test_implied_cardinality_cuts_close_the_fixed_charge_gap(self):
+    def test_implied_cardinality_cuts_close_the_fixed_charge_gap(self, monkeypatch):
         # With the cuts the root relaxation should already price in the two
         # forced setups; the branch-and-bound objective must be unaffected.
         model = self._fixed_charge()
-        on = model.solve(backend="branch-and-bound", cuts="auto")
-        off = model.solve(backend="branch-and-bound", cuts="off")
+        on = model.solve(backend="branch-and-bound")
+        monkeypatch.setattr(branch_and_bound, "_MAX_CUT_ROUNDS", 0)
+        off = model.solve(backend="branch-and-bound")
         assert on.status is SolveStatus.OPTIMAL
         assert on.objective == pytest.approx(off.objective, abs=1e-7)
         assert on.objective == pytest.approx(10.0 + 0.3 + 0.2, abs=1e-6)
@@ -465,23 +466,19 @@ class TestCutValidity:
 
 @pytest.mark.skipif(not scipy_backend.is_available(), reason="needs the HiGHS reference")
 class TestOptionEquivalence:
-    def test_presolve_and_cuts_do_not_change_milp_objectives(self):
+    def test_presolve_and_cuts_do_not_change_milp_objectives(self, monkeypatch):
         rng = np.random.default_rng(777)
+        rounds = branch_and_bound._MAX_CUT_ROUNDS
         helper = TestPostsolveRoundTrip()
         for _ in range(15):
             model = helper._random_model(rng, mip=True)
             reference = scipy_backend.solve_mip(model.to_standard_form())
             if reference.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
                 continue
-            for options in (
-                {"presolve": "on", "cuts": "auto"},
-                {"presolve": "on", "cuts": "off"},
-                {"presolve": "off", "cuts": "auto"},
-                {"presolve": "off", "cuts": "off"},
-            ):
-                ours = solve_model(model, backend="branch-and-bound", **options)
-                assert ours.status is reference.status, f"{options}: {ours.status}"
+            for mode, cut_rounds in itertools.product(("on", "off"), (rounds, 0)):
+                monkeypatch.setattr(branch_and_bound, "_MAX_CUT_ROUNDS", cut_rounds)
+                ours = solve_model(model, backend="branch-and-bound", presolve=mode)
+                label = f"presolve={mode} cut rounds={cut_rounds}"
+                assert ours.status is reference.status, f"{label}: {ours.status}"
                 if reference.status is SolveStatus.OPTIMAL:
-                    assert ours.objective == pytest.approx(reference.objective, abs=1e-5), (
-                        f"{options}"
-                    )
+                    assert ours.objective == pytest.approx(reference.objective, abs=1e-5), label

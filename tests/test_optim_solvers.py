@@ -19,7 +19,7 @@ from repro.optim import (
     lin_sum,
     solve_model,
 )
-from repro.optim import faultinject, simplex
+from repro.optim import branch_and_bound, faultinject, simplex
 from repro.optim import instrumentation as instr
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InfeasibleError, SolverError, UnboundedError
@@ -239,15 +239,30 @@ class TestOptionPlumbing:
         with pytest.raises(SolverError):
             solve_model(m, backend="simplex", mip_gap=0.01)
 
-    @pytest.mark.parametrize("option", [{"pricing": "devex"}, {"decomposition": "colgen"}])
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"pricing": "devex"},
+            {"decomposition": "colgen"},
+            {"check": "strict"},
+            {"cuts": "off"},
+            {"max_cut_rounds": 0},
+            {"gap_tol": 1e-6},
+        ],
+    )
     @pytest.mark.parametrize("backend", ["scipy", "simplex", "branch-and-bound"])
     def test_retired_options_are_unknown(self, backend, option):
-        # The LP's size picks the pricing rule and column generation; no
-        # option overrides either, on a one-shot solve or a session.
+        # The LP's size picks the pricing rule and column generation, and
+        # branch and bound's cut rounds and fathoming gap are constants; no
+        # option overrides them, on a one-shot solve, a session or one of
+        # its solves.
         with pytest.raises(SolverError, match="does not recognize"):
             solve_model(_lp_example(), backend=backend, **option)
         with pytest.raises(SolverError, match="does not recognize"):
             _lp_example().session(backend=backend, **option)
+        session = _lp_example().session(backend=backend)
+        with pytest.raises(SolverError, match="does not recognize"):
+            session.solve(**option)
 
     @pytest.mark.parametrize("backend", ["simplex", "branch-and-bound"])
     @pytest.mark.parametrize("devex_min_cols", [math.inf, 0], ids=["dantzig", "devex"])
@@ -267,10 +282,13 @@ class TestOptionPlumbing:
         assert sol.objective is not None
         assert sol.objective >= 15.0 * (1 - 0.5) - 1e-9
 
-    def test_max_iter_reaches_branch_and_bound_node_lps(self):
+    @pytest.mark.parametrize("backend", ["simplex", "branch-and-bound"])
+    def test_max_iter_reaches_branch_and_bound_node_lps(self, backend):
+        # The in-house simplex raises when it runs out of iterations (the
+        # LP relaxation on "simplex", a node LP on "branch-and-bound").
         m = _mip_example()
         with pytest.raises(SolverError, match="did not converge"):
-            solve_model(m, backend="branch-and-bound", max_iter=1)
+            solve_model(m, backend=backend, max_iter=1)
 
     def test_branch_and_bound_solves_node_lps_in_house(self):
         # Node LPs never go to HiGHS, whether or not SciPy is importable.
@@ -316,14 +334,15 @@ class TestMilpStatusEdges:
         m.set_objective(-x)
         assert m.solve(backend="branch-and-bound").status is SolveStatus.UNBOUNDED
 
-    def test_node_limit_is_labeled_not_infeasible(self):
+    def test_node_limit_is_labeled_not_infeasible(self, monkeypatch):
         # Exactly one node explored (the fractional root): the limit must
         # yield NODE_LIMIT -- before the fix the frontier node popped at the
         # limit was discarded and the result could read INFEASIBLE/OPTIMAL.
-        # cuts="off" keeps the root fractional (the cut loop would close
+        # No cut rounds keeps the root fractional (the cut loop would close
         # this knapsack at the root without exploring any node).
+        monkeypatch.setattr(branch_and_bound, "_MAX_CUT_ROUNDS", 0)
         form = _fractional_root_mip().to_standard_form()
-        sol = solve_milp(form, max_nodes=1, cuts="off")
+        sol = solve_milp(form, max_nodes=1)
         assert sol.status is SolveStatus.NODE_LIMIT
         assert sol.iterations == 1
 
@@ -407,23 +426,27 @@ class TestIntegerGridFathoming:
         ("build", "first", "optimum"),
         [(_half_integer_cost_mip, 2.0, 1.5), (_costed_continuous_mip, 2.0, 1.5), (_grid_step_mip, 3.0, 2.0)],
     )
-    def test_tree_finds_the_optimum_below_the_first_incumbent(self, build, first, optimum):
-        # cuts="off" keeps the root fractional, so the tree has to find it.
+    def test_tree_finds_the_optimum_below_the_first_incumbent(
+        self, build, first, optimum, monkeypatch
+    ):
+        # No cut rounds keeps the root fractional, so the tree has to find it.
+        monkeypatch.setattr(branch_and_bound, "_MAX_CUT_ROUNDS", 0)
         form = build().to_standard_form()
-        limited = solve_milp(form, max_nodes=1, cuts="off")
+        limited = solve_milp(form, max_nodes=1)
         assert limited.status is SolveStatus.NODE_LIMIT
         assert limited.objective == pytest.approx(first, abs=1e-9)
-        sol = solve_milp(form, cuts="off")
+        sol = solve_milp(form)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.objective == pytest.approx(optimum, abs=1e-9)
 
-    def test_node_limit_gap_rounds_the_open_bound_to_the_grid(self):
+    def test_node_limit_gap_rounds_the_open_bound_to_the_grid(self, monkeypatch):
         # max 3 z0 + 4 z1 + 5 z2: the root (9.5) rounds to 7, the probe of
         # the z2 = 0 side meets that incumbent, and the z2 = 1 side stays
         # open at 9 1/3.  No integer point beats 9, so the gap is 2/7 (the
         # unrounded bound would read 1/3).
+        monkeypatch.setattr(branch_and_bound, "_MAX_CUT_ROUNDS", 0)
         form = _fractional_root_mip().to_standard_form()
-        sol = solve_milp(form, max_nodes=1, cuts="off")
+        sol = solve_milp(form, max_nodes=1)
         assert sol.status is SolveStatus.NODE_LIMIT
         assert sol.objective == pytest.approx(7.0, abs=1e-9)
         assert sol.gap == pytest.approx(2.0 / 7.0, abs=1e-9)

@@ -551,9 +551,10 @@ class TestBasisFactor:
 
 
 class TestCanonicalizationContract:
-    def test_branch_and_bound_canonicalizes_once(self):
+    def test_branch_and_bound_canonicalizes_once(self, monkeypatch):
         """The whole B&B tree shares one canonicalization; per-node work is
         bound patches and basis updates (the PR's acceptance contract)."""
+        from repro.optim import branch_and_bound
         from repro.optim.branch_and_bound import solve_milp
 
         rng = np.random.default_rng(3)
@@ -565,9 +566,10 @@ class TestCanonicalizationContract:
         model.set_objective(lin_sum(float(w) * x for w, x in zip(rng.uniform(1, 3, size=12), xs)))
         form = model.to_standard_form()
         instr.reset()
-        # cuts="off": each root cut round re-lowers the (extended) form by
-        # design, so the one-canonicalization contract applies to the tree.
-        solution = solve_milp(form, cuts="off")
+        # No cut rounds: each one re-lowers the (extended) form by design,
+        # so the one-canonicalization contract applies to the tree.
+        monkeypatch.setattr(branch_and_bound, "_MAX_CUT_ROUNDS", 0)
+        solution = solve_milp(form)
         assert solution.is_optimal
         assert solution.iterations >= 2  # a real tree was explored...
         # One LP per node plus the strong-branching probes that initialize

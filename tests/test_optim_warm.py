@@ -348,7 +348,7 @@ def test_root_cut_rounds_solve_cold_once(cold_solves):
         model.add_constr(lin_sum(float(c) * x for c, x in zip(coeffs, xs)) >= 2.0)
     model.set_objective(lin_sum(float(w) * x for w, x in zip(rng.uniform(1, 3, size=12), xs)))
     instr.reset()
-    solution = solve_milp(model.to_standard_form(), cuts="auto")
+    solution = solve_milp(model.to_standard_form())
     assert solution.is_optimal
     assert solution.objective == pytest.approx(6.884114, abs=1e-6)
     assert instr.get("cuts_added") > 0

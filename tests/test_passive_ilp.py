@@ -56,7 +56,9 @@ class TestCompactILP:
             == solve_ilp(problem, backend="branch-and-bound").num_devices
         )
 
-    @pytest.mark.parametrize("option", ["pricing", "decomposition"])
+    @pytest.mark.parametrize(
+        "option", ["pricing", "decomposition", "check", "cuts", "max_cut_rounds", "gap_tol"]
+    )
     def test_retired_solver_options_are_unknown(self, figure3_matrix, option):
         problem = PPMProblem(figure3_matrix, coverage=1.0)
         with pytest.raises(SolverError, match="does not recognize"):

@@ -1,7 +1,5 @@
 """Tests for the packet-level sampling substrate (Sections 5.1-5.2)."""
 
-import math
-
 import pytest
 
 from repro.sampling import (

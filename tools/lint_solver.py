@@ -23,8 +23,8 @@ SOLV003  no ``assert`` for runtime control flow
 SOLV004  no direct mutation of ``StandardForm`` arrays
     Writing into ``form.c`` / ``form.A_ub`` / ``form.b_ub`` / ``form.A_eq``
     / ``form.b_eq`` / ``form.lb`` / ``form.ub`` outside the
-    ``SolverSession`` patch methods bypasses the dirty-tracking that keeps
-    warm starts and the analyzer consistent with the matrices.  The rule
+    ``SolverSession`` patch methods bypasses their value checks and the
+    dirty-tracking that keeps warm starts consistent with the matrices.  The rule
     covers ``ReducedForm`` (the presolve output, a ``StandardForm``
     subclass) under the ``reduced`` / ``_reduced`` owner names too: a
     reduced form is a *rebuilt* snapshot whose arrays feed
