@@ -84,8 +84,9 @@ The revised simplex has two independent performance axes:
   columns, which is what converges on the massively primal-degenerate
   coverage LPs at Rocketfuel size (Dantzig deterministically stalls
   there).  Bland's rule remains the anti-cycling escape of last resort
-  under either rule, and primal-degenerate stalls escalate to the
-  recovery ladder's bound-shift rung rather than spinning.
+  under either rule, and a primal-degenerate stall ends the attempt
+  rather than spinning: a cold solve makes at most two, on exact and on
+  slightly shifted bounds, and raises ``SolverError`` when both fail.
 
 Solver options (``time_limit``, ``max_iter``, ``mip_gap``, ``max_nodes``,
 ``presolve`` and ``fallback``) use one unified vocabulary; the

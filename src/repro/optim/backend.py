@@ -16,7 +16,10 @@ Backend / option matrix
 
 Option names are unified across backends; passing an option a backend does
 not recognize raises :class:`~repro.optim.errors.SolverError` instead of
-being silently dropped:
+being silently dropped, and a bad value of a numeric option (a
+``max_iter`` or ``max_nodes`` that is not a positive integer, a
+``mip_gap`` that is negative or not finite, a ``time_limit`` as below)
+raises ``ValueError``:
 
 ==============  ========  =========  ==================
 Option          scipy     simplex    branch-and-bound
@@ -93,6 +96,7 @@ start; sessions still avoid the model re-lowering cost there.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -145,13 +149,36 @@ def _resolve_backend(backend: str, is_mip: bool) -> str:
     return "branch-and-bound" if is_mip else "simplex"
 
 
+#: What a value of each numeric option must be (``None`` leaves it unset).
+_NUMERIC_OPTIONS = {
+    "time_limit": "a positive finite number of seconds",
+    "max_iter": "a positive integer",
+    "max_nodes": "a positive integer",
+    "mip_gap": "a finite relative gap >= 0",
+}
+
+
+def _valid_number(name: str, value: Any) -> bool:
+    """Whether ``value`` is what :data:`_NUMERIC_OPTIONS` asks of ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    number = float(value)
+    if name in ("max_iter", "max_nodes"):
+        return isinstance(value, numbers.Integral) and number >= 1.0
+    above_floor = number >= 0.0 if name == "mip_gap" else number > 0.0
+    return above_floor and number < math.inf
+
+
 def _check_options(backend: str, options: Dict[str, Any]) -> None:
     """Reject option names the resolved backend does not honor.
 
-    Option values are validated here as well, so every entry point (one-shot
-    solves, sessions, the session column-generation path) rejects them
-    before any solver starts.  A zero, negative or non-finite ``time_limit``
-    is always a caller bug: a deadline born expired (or never expiring).
+    The numeric option values are validated here as well (``ValueError``),
+    so every entry point (one-shot solves, sessions, the session
+    column-generation path) rejects them before any solver starts.  A zero,
+    negative or non-finite ``time_limit`` is always a caller bug: a deadline
+    born expired (or never expiring); a ``max_iter`` or ``max_nodes`` below
+    one leaves no room for any work.  ``presolve`` and ``fallback`` values
+    are checked where they are read, and raise ``SolverError``.
     """
     unknown = set(options) - BACKEND_OPTIONS[backend]
     if unknown:
@@ -159,20 +186,10 @@ def _check_options(backend: str, options: Dict[str, Any]) -> None:
             f"backend {backend!r} does not recognize option(s) {sorted(unknown)}; "
             f"it honors {sorted(BACKEND_OPTIONS[backend])}"
         )
-    time_limit = options.get("time_limit")
-    if time_limit is not None:
-        try:
-            value = float(time_limit)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"time_limit must be a positive finite number of seconds, "
-                f"got {time_limit!r}"
-            ) from None
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(
-                f"time_limit must be a positive finite number of seconds, "
-                f"got {time_limit!r}"
-            )
+    for name, what in _NUMERIC_OPTIONS.items():
+        value = options.get(name)
+        if value is not None and not _valid_number(name, value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _pop_presolve_mode(options: Dict[str, Any]) -> str:
@@ -276,15 +293,13 @@ def _dispatch_form(
     if backend == "simplex":
         from repro.optim.simplex import solve_standard_form
 
-        return solve_standard_form(
-            form, max_iter=options.get("max_iter", 100_000), deadline=deadline
-        )
+        return solve_standard_form(form, max_iter=options.get("max_iter"), deadline=deadline)
     # branch-and-bound
     from repro.optim.branch_and_bound import solve_milp
 
     return solve_milp(
         form,
-        max_nodes=options.get("max_nodes", 100_000),
+        max_nodes=options.get("max_nodes"),
         mip_gap=options.get("mip_gap"),
         max_iter=options.get("max_iter"),
         deadline=deadline,

@@ -126,6 +126,9 @@ _GAP_TOL = 1e-9
 #: Root separation rounds of the cut-and-branch loop; 0 skips the loop.
 _MAX_CUT_ROUNDS = 5
 
+#: Node budget of a solve whose caller sets no ``max_nodes``.
+_DEFAULT_MAX_NODES = 100_000
+
 
 def _objective_on_grid(form: StandardForm) -> bool:
     """Whether every integer point of ``form`` costs a whole number plus the offset.
@@ -295,7 +298,7 @@ def _root_cut_loop(
     (including its rounding heuristic) runs unchanged over the new form.
     """
     if deadline is not None and deadline.expired():
-        return form, SimplexSolver(form, max_iter=max_iter or 100_000), None
+        return form, SimplexSolver(form, max_iter=max_iter), None
     session, relax, warm = resolve_appended(form, None, max_iter=max_iter, deadline=deadline)
     for _ in range(_MAX_CUT_ROUNDS):
         if deadline is not None and deadline.expired():
@@ -326,7 +329,7 @@ def _root_cut_loop(
 
 def solve_milp(
     form: StandardForm,
-    max_nodes: int = 100_000,
+    max_nodes: Optional[int] = None,
     mip_gap: Optional[float] = None,
     max_iter: Optional[int] = None,
     deadline: Optional[Deadline] = None,
@@ -341,7 +344,8 @@ def solve_milp(
         (:class:`repro.optim.simplex.SimplexSolver`, with per-node warm
         starts), whether or not SciPy is importable.
     max_nodes:
-        Safety limit on the number of explored nodes.  The limit is checked
+        Safety limit on the number of explored nodes (``None``:
+        :data:`_DEFAULT_MAX_NODES`).  The limit is checked
         *before* a node is popped, so hitting it never discards an open node
         and a ``NODE_LIMIT`` result reflects a resumable frontier.
     mip_gap:
@@ -368,6 +372,7 @@ def solve_milp(
         On an integer-grid objective that bound is first rounded up to the
         grid.
     """
+    max_nodes = _DEFAULT_MAX_NODES if max_nodes is None else max_nodes
     sign = -1.0 if form.maximize else 1.0
     # Cuts and strong-branching probes both tighten the objective bound,
     # which a zero objective (the feasibility probe) does not have.
@@ -376,7 +381,7 @@ def solve_milp(
     if _MAX_CUT_ROUNDS > 0 and has_objective and np.any(np.asarray(form.integrality, dtype=bool)):
         form, session, root_warm = _root_cut_loop(form, max_iter, deadline)
     else:
-        session = SimplexSolver(form, max_iter=max_iter or 100_000)
+        session = SimplexSolver(form, max_iter=max_iter)
     integral_mask = np.asarray(form.integrality, dtype=bool)
     on_grid = _objective_on_grid(form)
 

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the solver resilience layer.
 
-The recovery ladders of :mod:`repro.optim.simplex` and the backend failover
+The recovery rungs of :mod:`repro.optim.simplex` and the backend failover
 of :mod:`repro.optim.backend` exist to survive rare numerical and
 environmental failures -- which makes them almost impossible to exercise
 with honest inputs.  This module lets a test *script* those failures
@@ -82,8 +82,9 @@ class FaultPlan:
 
     All occurrence indices are 1-based and count events *within one*
     :func:`inject` context, so a plan composes with the instrumentation
-    counters: "fail factorizations 1 and 2" drives the perturbation rung
-    first and the bound-shift rung second, regardless of machine or timing.
+    counters: on a small LP "fail factorization 1" makes the bound-shift
+    rung answer, and "fail factorizations 1 and 2" fails both cold
+    attempts, regardless of machine or timing.
     """
 
     #: Basis factorizations (by occurrence) that raise ``_SingularBasis``.
@@ -94,7 +95,7 @@ class FaultPlan:
     #: Stored Forrest-Tomlin spikes (by occurrence) that get a NaN written
     #: in -- unlike a corrupted pivot the damage *persists* inside the eta
     #: file, so every later FTRAN/BTRAN through it is poisoned until the
-    #: recovery ladder refactorizes.
+    #: solve starts over on a fresh factorization.
     corrupt_spikes: Tuple[int, ...] = ()
     #: Warm-start dual repairs (by occurrence) forced to report a stall.
     stall_warm_repairs: Tuple[int, ...] = ()

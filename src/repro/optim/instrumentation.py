@@ -50,13 +50,10 @@ COUNTER_NAMES = (
     "rc_fixings",         # reduced-cost bound tightenings applied at nodes
     "dual_bound_flips",   # entering-variable bound flips in the dual ratio test
     "strong_branch_probes",  # child-LP probes made to initialize pseudocosts
-    "warm_repair_stalls",    # warm-start dual repairs that stalled into a cold solve
-    "recovery_refactorize",  # numerical retries on a fresh LU factorization
-    "recovery_perturb",      # cost-perturbation retries (with post-solve cleanup)
-    "recovery_bound_shift",  # bound-shift retries for degenerate stalls (with repair)
+    "warm_repair_stalls",    # warm starts that fell back cold (stalled repair or numerical trouble)
+    "recovery_bound_shift",  # exact-bounds cold solves retried on shifted bounds (with repair)
     "recovery_shift_fallback",  # proactive bound-shift solves that fell back to exact bounds
-    "recovery_slack_fallback",  # all-slack dual cold starts that fell back to the primal ladder
-    "recovery_bland",        # forced-Bland-pricing retries
+    "recovery_slack_fallback",  # all-slack dual cold starts that fell back to the primal cold solve
     "backend_failovers",     # fallback="auto" hops to another backend
     "greedy_degradations",   # fallback="auto" solves finished by the greedy rung
     "deadline_expiries",     # solves that returned TIME_LIMIT on an expired Deadline

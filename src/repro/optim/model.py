@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -362,16 +362,6 @@ class Model:
         self._vars_by_name[name] = var
         return var
 
-    def add_vars(
-        self,
-        names: Sequence[str],
-        lb: float = 0.0,
-        ub: float = math.inf,
-        vartype: str = "continuous",
-    ) -> Dict[str, Variable]:
-        """Create several variables at once, returned as a name -> var dict."""
-        return {name: self.add_var(name, lb=lb, ub=ub, vartype=vartype) for name in names}
-
     def get_var(self, name: str) -> Variable:
         """Return the registered variable called ``name``."""
         try:
@@ -434,11 +424,6 @@ class Model:
         constr = self.get_constr(name)
         constr.expr.constant = -float(rhs)
         return constr
-
-    def update_objective(self, expr: Union[LinExpr, Variable, Number], sense: Optional[str] = None) -> None:
-        """Replace the objective; alias of :meth:`set_objective` kept for the
-        parameterized re-solve vocabulary (`update_*` mutators)."""
-        self.set_objective(expr, sense=sense)
 
     def session(self, backend: str = "auto", **options: Any) -> "object":
         """Lower the model once and return a reusable

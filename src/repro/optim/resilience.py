@@ -118,12 +118,9 @@ class Deadline:
 #: Recovery rung name -> instrumentation counter.
 _RUNG_COUNTERS = {
     "warm-stall": "warm_repair_stalls",
-    "refactorize": "recovery_refactorize",
-    "perturb": "recovery_perturb",
     "bound-shift": "recovery_bound_shift",
     "shift-fallback": "recovery_shift_fallback",
     "slack-fallback": "recovery_slack_fallback",
-    "bland": "recovery_bland",
     "failover": "backend_failovers",
     "greedy": "greedy_degradations",
 }

@@ -41,12 +41,11 @@ contiguous column blocks, priced with
 :meth:`repro.optim.sparse.SparseMatrix.rmatvec_range`), approximating
 steepest-edge at a fraction of the cost on Rocketfuel-size bases.
 Either way the solver switches to Bland's smallest-index rule after
-:data:`_STALL_LIMIT` consecutive degenerate pivots -- the anti-cycling
-escape stays the last rung regardless of pricing rule -- and a stall that
+:data:`_STALL_LIMIT` consecutive degenerate pivots, and a stall that
 survives even Bland (:data:`_STALL_ABORT` consecutive zero-step pivots, the
-signature of *primal* degeneracy, which no pricing or cost perturbation can
-cure) aborts with :class:`_DegenerateStall` so the recovery ladder's
-bound-shift rung can resolve it on slightly expanded bounds.  The size rule
+signature of *primal* degeneracy, which no pricing rule can cure) aborts
+with :class:`_DegenerateStall` so the cold solve's second attempt can
+resolve it on slightly expanded bounds.  The size rule
 steers only this primal rule; the dual warm-repair loop picks its leaving
 row by devex *row* weights carried in the basis token, and its entering
 column by a full bounded ratio test (partial pricing is unsound there:
@@ -63,7 +62,10 @@ falls back to a cold solve only when the repair stalls or the basis is
 numerically unusable.  :func:`resolve_appended` carries a basis across
 appended columns and rows (column-generation masters, root cut rounds).
 A large LP without equality rows cold-starts the same way from the all-slack
-basis (:data:`_SLACK_START_MIN_COLS`); other cold solves run the primal ladder.
+basis (:data:`_SLACK_START_MIN_COLS`).  Other cold solves run the primal
+two-phase method in at most two attempts, on exact and on slightly shifted
+bounds (:func:`_cold_solve_resilient`); numerical trouble in both raises
+``SolverError``.
 
 Options honored (see :func:`repro.optim.backend.solve_model`):
 
@@ -111,13 +113,13 @@ _STALL_LIMIT = 32
 
 #: Number of consecutive degenerate pivots after which the primal loop gives
 #: up on walking the degenerate path (even under Bland's rule) and raises
-#: :class:`_DegenerateStall` so the recovery ladder can shift bounds instead.
+#: :class:`_DegenerateStall` so the cold solve can shift bounds instead.
 _STALL_ABORT = 2048
 
 #: Column count from which a cold primal solve starts on shifted bounds
 #: proactively (solve the expanded LP, restore the true bounds, repair with
 #: warm-start dual pivots) instead of waiting for a degenerate stall to
-#: trigger the same machinery as a recovery rung.  Large placement LPs are
+#: make it the second attempt.  Large placement LPs are
 #: massively primal degenerate (the Rocketfuel root LP takes 29,422 primal
 #: pivots without it, 9,988 with it); they reach the primal path with
 #: equality rows, or when a warm or all-slack start falls back.
@@ -158,6 +160,9 @@ _SPIKE_DROP_TOL = 1e-12
 #: Below this basis dimension a dense LAPACK factorization beats SuperLU's
 #: setup overhead even when SciPy is importable.
 _SPLU_MIN_DIM = 60
+
+#: Iteration limit of each simplex phase when the caller sets no ``max_iter``.
+_DEFAULT_MAX_ITER = 100_000
 
 #: Deadline expiry is checked every this many simplex iterations; a check is
 #: one monotonic-clock read, so a small stride keeps overrun bounded without
@@ -409,12 +414,12 @@ def _canonicalize(
 class _NumericalTrouble(Exception):
     """Base of recoverable numerical failures inside the simplex.
 
-    :meth:`SimplexSolver.solve` catches this hierarchy and walks the
-    recovery ladder (refactorize, for a warm start that resumed a stored
-    factor -> cost perturbation -> bound shift -> Bland pricing) instead of
-    surfacing an :class:`InternalSolverError`.  No rung repeats an earlier
-    computation: the solves are deterministic, so a repeat would fail the
-    same way.
+    :meth:`SimplexSolver.solve` catches this hierarchy instead of surfacing
+    an :class:`InternalSolverError`: a warm start that hits it solves cold,
+    and a cold solve gets one more attempt, on the other bounds (exact or
+    shifted, see :func:`_cold_solve_resilient`), before it raises
+    ``SolverError``.  Nothing is retried as it was: the solves are
+    deterministic, so a repeat would fail the same way.
     """
 
 
@@ -432,7 +437,7 @@ class _DegenerateStall(_NumericalTrouble):
     Bland's rule guarantees *finite* termination, not fast termination: on
     massively primal-degenerate LPs (covering rows, duplicated constraints)
     the degenerate path out of a vertex can run to hundreds of thousands of
-    pivots.  Escalating to the recovery ladder's bound-shift rung -- which
+    pivots.  Handing over to the cold solve's bound-shifted attempt -- which
     perturbs the *bounds*, the actual source of zero-length steps -- is
     orders of magnitude cheaper than grinding through it.
     """
@@ -786,7 +791,6 @@ def _primal_iterations(
     costs: np.ndarray,
     max_iter: int,
     deadline: Optional[Deadline] = None,
-    bland: bool = False,
 ) -> Tuple[str, int]:
     """Bounded-variable primal revised simplex.
 
@@ -797,18 +801,16 @@ def _primal_iterations(
     test accounts for both bounds of every basic variable and for the
     entering variable's own opposite bound (a "bound flip", which costs no
     basis change at all).  The entering rule is devex at or above
-    :data:`_DEVEX_MIN_COLS` canonical columns and Dantzig below;
-    ``bland=True`` forces Bland's anti-cycling rule from the first pivot --
-    the recovery ladder's answer to numerical cycling, and the same full
+    :data:`_DEVEX_MIN_COLS` canonical columns and Dantzig below; a full
     Bland sweep takes over either rule after :data:`_STALL_LIMIT`
     consecutive degenerate pivots.
     """
     lp = state.lp
     A, m, n_cols = lp.A, lp.m, lp.n
     movable = state.lower_ext[:n_cols] < state.upper_ext[:n_cols]
-    pricer = _DevexPricer(n_cols) if (n_cols >= _DEVEX_MIN_COLS and not bland) else None
+    pricer = _DevexPricer(n_cols) if n_cols >= _DEVEX_MIN_COLS else None
     iterations = 0
-    stalled = _STALL_LIMIT if bland else 0
+    stalled = 0
     y: Optional[np.ndarray] = None  # dual prices; None = must recompute
     y_exact = False  # True when y was BTRANed from scratch this iteration
     while iterations < max_iter:
@@ -935,7 +937,7 @@ def _primal_iterations(
         else:
             stalled += 1
             instr.add("degenerate_pivots")
-            if stalled >= _STALL_ABORT + (_STALL_LIMIT if bland else 0):
+            if stalled >= _STALL_ABORT:
                 raise _DegenerateStall(
                     f"{stalled} consecutive degenerate pivots "
                     f"(after {iterations} iterations)"
@@ -1152,12 +1154,11 @@ def _finish_primal(
     max_iter: int,
     dual_iters: int,
     deadline: Optional[Deadline] = None,
-    bland: bool = False,
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Run phase-2 primal pivots and package the result tuple."""
     lp = state.lp
     costs = np.concatenate((lp.c, np.zeros(lp.m)))
-    status, iters = _primal_iterations(state, costs, max_iter, deadline=deadline, bland=bland)
+    status, iters = _primal_iterations(state, costs, max_iter, deadline=deadline)
     total = dual_iters + iters
     if status in ("unbounded", "deadline"):
         return status, None, total, None
@@ -1178,7 +1179,6 @@ def _cold_solve(
     lp: _CanonicalLP,
     max_iter: int,
     deadline: Optional[Deadline] = None,
-    bland: bool = False,
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Two-phase solve from a crash basis of slacks and signed artificials."""
     m, n_cols = lp.m, lp.n
@@ -1212,7 +1212,7 @@ def _cold_solve(
     state.xB = resid.copy()
     # ``resid`` was computed with every slack at its lower bound; a slack
     # made basic must absorb its own x0 contribution back.  A no-op for the
-    # usual zero slack bound, but the bound-shift recovery rung solves with
+    # usual zero slack bound, but the bound-shifted attempt solves with
     # slack lower bounds pushed slightly negative.
     if slack_rows.size:
         state.xB[slack_rows] += lower_ext[basis[slack_rows]]
@@ -1224,9 +1224,7 @@ def _cold_solve(
         # Unused artificials must not be priced in: pin them immediately.
         unused_arts = n_cols + slack_rows
         upper_ext[unused_arts] = 0.0
-        status, phase1_iters = _primal_iterations(
-            state, costs1, max_iter, deadline=deadline, bland=bland
-        )
+        status, phase1_iters = _primal_iterations(state, costs1, max_iter, deadline=deadline)
         if status == "deadline":
             return "deadline", None, phase1_iters, None
         if status != "optimal":
@@ -1239,7 +1237,7 @@ def _cold_solve(
         upper_ext[n_cols:] = 0.0
         state.xB[art_basic] = 0.0
 
-    return _finish_primal(state, max_iter, phase1_iters, deadline=deadline, bland=bland)
+    return _finish_primal(state, max_iter, phase1_iters, deadline=deadline)
 
 
 def _resumable(token: _Basis, lp: _CanonicalLP) -> bool:
@@ -1257,7 +1255,6 @@ def _warm_solve(
     token: _Basis,
     max_iter: int,
     deadline: Optional[Deadline] = None,
-    fresh_factor: bool = False,
     stall_rung: str = "warm-stall",
 ) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
     """Resume from a previous basis; ``None`` means fall back to a cold solve.
@@ -1272,10 +1269,8 @@ def _warm_solve(
     prices untouched.  The dual loop's infeasibility proofs do not read the
     costs, so they hold under the shift.  ``None`` is left for a stalled
     repair and for a basis that cannot be factorized or no longer satisfies
-    the constraints.  ``fresh_factor=True`` skips the stored-factorization
-    resume and refactorizes from scratch -- the "refactorize" rung of the
-    recovery ladder, retried after the stored factors produced numerical
-    garbage.  A stalled repair is recorded as the ``stall_rung`` rung.
+    the constraints.  A stalled repair is recorded as the ``stall_rung``
+    rung; numerical trouble propagates as :class:`_NumericalTrouble`.
     """
     m, n_cols = lp.m, lp.n
     basis = token.basis.copy()
@@ -1298,7 +1293,7 @@ def _warm_solve(
     state = _State(lp, basis, vstat, art_sign, lower_ext, upper_ext)
     if token.row_weights is not None:
         state.row_weights = token.row_weights.copy()
-    if token.factor is not None and not fresh_factor and _resumable(token, lp):
+    if token.factor is not None and _resumable(token, lp):
         # Resume on the parent's factorization: shared LU base, private
         # eta file.  The residual check below still guards against drift
         # accumulated across warm-start generations.
@@ -1480,52 +1475,19 @@ def _solution_from_canonical(
     )
 
 
-#: Seed of the deterministic cost perturbation used by the recovery ladder.
-_PERTURB_SEED = 0x5EED
-
-
-def _perturbed_solve(
-    lp: _CanonicalLP,
-    max_iter: int,
-    deadline: Optional[Deadline],
-) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
-    """Cold solve under deterministically perturbed costs, then unperturb.
-
-    A tiny positive cost jitter breaks the degenerate ties that drive
-    cycling and singular pivot sequences.  Costs do not affect feasibility,
-    so an ``infeasible`` answer stands as-is; an ``optimal`` one is cleaned
-    up by resuming the final basis under the *true* costs (the perturbed
-    optimum is primal feasible, so the resume is a short phase-2 run).
-    ``None`` means the rung did not produce a trustworthy answer and the
-    ladder should continue.
-    """
-    saved_c = lp.c
-    rng = np.random.default_rng(_PERTURB_SEED)
-    jitter = 1e-7 * (1.0 + np.abs(saved_c)) * rng.random(saved_c.shape)
-    lp.c = saved_c + jitter
-    try:
-        result = _cold_solve(lp, max_iter, deadline=deadline)
-    finally:
-        lp.c = saved_c
-    status, _y, iters, token = result
-    if status in ("infeasible", "deadline"):
-        return result
-    if status != "optimal" or token is None:
-        # "unbounded" under jittered costs is not proof for the true costs.
-        return None
-    cleanup = _warm_solve(lp, token, max_iter, deadline=deadline)
-    return cleanup
+#: Seed of the deterministic bound shift of :func:`_bound_shifted_solve`.
+_SHIFT_SEED = 0x5EED ^ 0xB0D5
 
 
 def _bound_shifted_solve(
     lp: _CanonicalLP,
     max_iter: int,
-    deadline: Optional[Deadline],
-) -> Optional[Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]]:
+    deadline: Optional[Deadline] = None,
+) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
     """Cold solve under deterministically *expanded* bounds, then repair.
 
     Zero-length steps come from basic variables sitting exactly on a bound
-    -- primal degeneracy, which no cost jitter can remove.  Shifting every
+    -- primal degeneracy, which no pricing rule can remove.  Shifting every
     finite bound outward by a tiny deterministic amount makes ratio-test
     ties (and hence degenerate pivots) vanish almost surely.  Because the
     true feasible region is *contained* in the shifted one and the costs
@@ -1534,10 +1496,11 @@ def _bound_shifted_solve(
     resuming via :func:`_warm_solve`: the reduced costs are exact (costs
     never changed), so the basis is dual feasible and the standard
     warm-start dual repair walks the basic values back inside their true
-    bounds.  ``None`` means the rung did not produce a trustworthy answer.
+    bounds.  A repair that yields no usable basis raises
+    :class:`_NumericalTrouble`.
     """
     saved_lower, saved_upper = lp.lower, lp.upper
-    rng = np.random.default_rng(_PERTURB_SEED ^ 0xB0D5)
+    rng = np.random.default_rng(_SHIFT_SEED)
     lo_shift = 1e-7 * (1.0 + np.abs(saved_lower)) * (0.5 + 0.5 * rng.random(saved_lower.shape))
     up_shift = 1e-7 * (1.0 + np.abs(saved_upper)) * (0.5 + 0.5 * rng.random(saved_upper.shape))
     lower = np.where(np.isfinite(saved_lower), saved_lower - lo_shift, saved_lower)
@@ -1547,12 +1510,13 @@ def _bound_shifted_solve(
         result = _cold_solve(lp, max_iter, deadline=deadline)
     finally:
         lp.lower, lp.upper = saved_lower, saved_upper
-    status, _y, iters, token = result
-    if status in ("infeasible", "unbounded", "deadline"):
+    status, _y, _iters, token = result
+    if status != "optimal":
         return result
-    if status != "optimal" or token is None:
-        return None
-    return _warm_solve(lp, token, max_iter, deadline=deadline)
+    repaired = None if token is None else _warm_solve(lp, token, max_iter, deadline=deadline)
+    if repaired is None:
+        raise _NumericalTrouble("bound-shifted cold solve did not produce a usable basis")
+    return repaired
 
 
 def _cold_solve_resilient(
@@ -1560,64 +1524,33 @@ def _cold_solve_resilient(
     max_iter: int,
     deadline: Optional[Deadline],
 ) -> Tuple[str, Optional[np.ndarray], int, Optional[_Basis]]:
-    """Cold solve wrapped in the numerical-recovery ladder.
+    """Cold two-phase solve in two attempts: on exact and on shifted bounds.
 
-    Rungs, in order: plain cold solve -> deterministic cost perturbation
-    (with post-solve unperturbation) -> deterministic bound shifting (with
-    post-solve repair; the rung that actually removes primal-degenerate
-    stalling) -> forced Bland pricing.  Each rung is counted in
-    instrumentation and surfaced as a Diagnostic; when Bland pricing fails
-    too, the solve raises ``SolverError``.  Every rung computes something
-    new: the solves are deterministic, so re-running one would only repeat
-    its failure.
-
-    From :data:`_SHIFT_PROACTIVE_COLS` columns on the first rung is the
-    bound-shifted solve itself (the placement LPs stall almost surely on
-    exact bounds there), and the reactive bound-shift rung is skipped: it
-    would re-run that solve with the same seed.  Such LPs get here with
-    equality rows, or when a warm start or the all-slack start falls back.
+    Below :data:`_SHIFT_PROACTIVE_COLS` columns the exact-bounds solve goes
+    first, and numerical trouble (a degenerate stall included) hands over
+    to :func:`_bound_shifted_solve` as the ``bound-shift`` rung.  From that
+    size on the placement LPs stall almost surely on exact bounds, so the
+    shifted solve goes first and the exact one follows as the
+    ``shift-fallback`` rung; such LPs get here with equality rows, or when
+    a warm start or the all-slack start falls back.  The rung is counted
+    in instrumentation and surfaced as a Diagnostic.  The solves are
+    deterministic, so a third attempt would repeat one of the two: when the
+    second fails as well the solve raises ``SolverError``, which
+    ``fallback="auto"`` fails over.
     """
     if lp.n >= _SHIFT_PROACTIVE_COLS:
-        try:
-            result = _bound_shifted_solve(lp, max_iter, deadline)
-            if result is not None:
-                return result
-            failure: _NumericalTrouble = _NumericalTrouble(
-                "bound-shifted cold solve did not produce a usable basis"
-            )
-        except _NumericalTrouble as exc:
-            failure = exc
-        record_rung(
-            "shift-fallback",
-            f"proactive bound-shifted solve failed ({failure}); "
-            "retrying on the exact bounds",
-        )
+        first, second = _bound_shifted_solve, _cold_solve
+        rung = "shift-fallback"
+        retry = "proactive bound-shifted solve failed ({}); retrying on the exact bounds"
+    else:
+        first, second = _cold_solve, _bound_shifted_solve
+        rung, retry = "bound-shift", "cold solve failed ({}); retrying with shifted bounds"
     try:
-        return _cold_solve(lp, max_iter, deadline=deadline)
-    except _DegenerateStall as exc:
-        # Cost jitter cannot remove zero-length steps; skip the
-        # perturbation rung.
-        failure = exc
+        return first(lp, max_iter, deadline)
     except _NumericalTrouble as exc:
-        failure = exc
-        record_rung("perturb", f"cold solve failed ({failure}); retrying with perturbed costs")
-        try:
-            result = _perturbed_solve(lp, max_iter, deadline)
-            if result is not None:
-                return result
-        except _NumericalTrouble as exc2:
-            failure = exc2
-    if lp.n < _SHIFT_PROACTIVE_COLS:
-        record_rung("bound-shift", f"cold solve failed ({failure}); retrying with shifted bounds")
-        try:
-            result = _bound_shifted_solve(lp, max_iter, deadline)
-            if result is not None:
-                return result
-        except _NumericalTrouble as exc:
-            failure = exc
-    record_rung("bland", f"earlier rungs failed ({failure}); retrying with Bland pricing")
+        record_rung(rung, retry.format(exc))
     try:
-        return _cold_solve(lp, max_iter, deadline=deadline, bland=True)
+        return second(lp, max_iter, deadline)
     except _NumericalTrouble as exc:
         raise SolverError(
             f"simplex could not recover from numerical failure: {exc}"
@@ -1637,9 +1570,9 @@ class SimplexSolver:
     in place by :meth:`refresh` while the pattern holds.
     """
 
-    def __init__(self, form: StandardForm, max_iter: int = 100_000) -> None:
+    def __init__(self, form: StandardForm, max_iter: Optional[int] = None) -> None:
         self.form = form
-        self.max_iter = max_iter
+        self.max_iter = _DEFAULT_MAX_ITER if max_iter is None else max_iter
         self._lp: Optional[_CanonicalLP] = None
 
     def refresh(self, pattern_grew: bool) -> None:
@@ -1689,11 +1622,12 @@ class SimplexSolver:
         ignored automatically when the canonical structure changed, e.g.
         when a previously free variable gained a finite bound.
 
-        ``max_iter`` bounds each simplex phase separately (dual repair,
-        residual primal, and -- if the warm start stalls -- the cold
-        two-phase fallback), so a pathological solve may cost a small
-        multiple of it; treat it as a convergence safety net, not an exact
-        work budget.
+        ``max_iter`` bounds each simplex phase separately: the dual repair
+        and the primal phase of a warm start, and both phases of each cold
+        attempt (a bound-shifted one adds its own repair).  A solve that
+        falls back from a warm start through both cold attempts may thus
+        cost a small multiple of it; treat it as a convergence safety net,
+        not an exact work budget.
         """
         lb = self.form.lb if lb is None else np.asarray(lb, dtype=float)
         ub = self.form.ub if ub is None else np.asarray(ub, dtype=float)
@@ -1705,20 +1639,8 @@ class SimplexSolver:
             try:
                 result = _warm_solve(lp, warm_basis, limit, deadline=deadline)
             except _NumericalTrouble as exc:
-                # A token without a resumable factor was factorized fresh by
-                # this attempt: a retry would repeat the same work.
-                if _resumable(warm_basis, lp):
-                    record_rung(
-                        "refactorize",
-                        f"warm solve hit numerical trouble ({exc}); "
-                        "retrying on a fresh factorization",
-                    )
-                    try:
-                        result = _warm_solve(lp, warm_basis, limit, deadline=deadline, fresh_factor=True)
-                    except _NumericalTrouble:
-                        pass
+                record_rung("warm-stall", f"warm solve hit numerical trouble ({exc}); solving cold")
         elif lp.n >= _SLACK_START_MIN_COLS and lp.m == lp.n_ub:
-            # The slack basis is factorized from scratch: no refactorize retry.
             slack = _slack_basis(lp)
             try:
                 result = _warm_solve(lp, slack, limit, deadline, stall_rung="slack-fallback")
@@ -1762,7 +1684,7 @@ def resolve_appended(
     reuse, the solution, and the warm start for the next append (``None``
     when the solve produced no basis).
     """
-    solver = SimplexSolver(form, max_iter=max_iter or 100_000)
+    solver = SimplexSolver(form, max_iter=max_iter)
     lp = solver._ensure_canonical(form.lb, form.ub)
     warm = None if previous is None else extend_warm_basis(previous[0], previous[1], lp)
     solution, token = solver.solve(warm_basis=warm, deadline=deadline)
@@ -1771,7 +1693,7 @@ def resolve_appended(
 
 def solve_standard_form(
     form: StandardForm,
-    max_iter: int = 100_000,
+    max_iter: Optional[int] = None,
     deadline: Optional[Deadline] = None,
 ) -> Solution:
     """Solve the LP relaxation of a :class:`StandardForm` with the simplex.

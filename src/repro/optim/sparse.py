@@ -34,9 +34,9 @@ class SparseMatrix:
     Construct through :meth:`from_coo` / :meth:`from_dense`; the raw
     constructor trusts its arguments (sorted row indices per column, no
     duplicates).  The row count is immutable; the column dimension can only
-    grow, through :meth:`append_columns` (in place, for the column-generation
-    restricted master) or :meth:`hstack_columns` (copying).  Both invalidate
-    the lazy matvec caches, so kernels stay correct across appends.
+    grow, in place, through :meth:`append_columns` (for the column-generation
+    restricted master), which invalidates the lazy matvec caches, so kernels
+    stay correct across appends.
     """
 
     __slots__ = ("shape", "indptr", "indices", "data", "_col_ids", "_rmv_cache", "_row_index")
@@ -98,21 +98,6 @@ class SparseMatrix:
     def zeros(cls, shape: Tuple[int, int]) -> "SparseMatrix":
         """An all-zero matrix of the given shape."""
         return cls(shape, np.zeros(shape[1] + 1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
-
-    @classmethod
-    def hstack_columns(cls, left: "SparseMatrix", right: "SparseMatrix") -> "SparseMatrix":
-        """Return ``[left | right]`` as a new matrix (row counts must match)."""
-        if left.shape[0] != right.shape[0]:
-            raise ValueError(
-                f"row mismatch in hstack: {left.shape[0]} vs {right.shape[0]}"
-            )
-        indptr = np.concatenate((left.indptr, right.indptr[1:] + left.nnz))
-        return cls(
-            (left.shape[0], left.shape[1] + right.shape[1]),
-            indptr,
-            np.concatenate((left.indices, right.indices)),
-            np.concatenate((left.data, right.data)),
-        )
 
     # -- ndarray-compatible introspection ---------------------------------
     @property

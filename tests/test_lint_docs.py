@@ -80,7 +80,7 @@ class TestDoctoredTree:
         docs = _docs_with_row(
             tmp_path,
             "instrumentation.md",
-            "| `recovery_bland` |",
+            "| `recovery_slack_fallback` |",
             "| `recovery_gone` | old | A rung the code no longer has. |",
         )
         findings = check_docs(docs)

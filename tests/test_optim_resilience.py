@@ -2,8 +2,8 @@
 
 Every recovery rung is driven deterministically through the fault-injection
 harness (:mod:`repro.optim.faultinject`): fail the Nth factorization, corrupt
-the Nth pivot column, stall a warm repair, take a backend down, jump the
-deadline clock.  The load-bearing assertion throughout is that *a recovered
+the Nth pivot column or spike, stall a warm repair, take a backend down, jump
+the deadline clock.  The load-bearing assertion throughout is that *a recovered
 solve returns the same answer as an unfaulted one* -- resilience must never
 change the mathematics, only survive the environment.
 """
@@ -30,7 +30,7 @@ from repro.optim import scipy_backend
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InternalSolverError, SolverError
 from repro.optim.presolve import presolve
-from repro.optim.resilience import greedy_form_solve
+from repro.optim.resilience import _RUNG_COUNTERS, greedy_form_solve
 from repro.optim.simplex import SimplexSolver, solve_standard_form
 
 LP_OPTIMUM = 7.0  # min 3x + 2y s.t. x + y >= 3, 2x + y >= 4 at (1, 2)
@@ -158,93 +158,98 @@ class TestFaultHarness:
         assert faultinject.ACTIVE is False
 
 
+def _cover_form():
+    """70 random covering rows, above ``_SPLU_MIN_DIM``: with SciPy present
+    its cold solve factorizes with SuperLU, and under the ``numeric_core``
+    dense-LU legs (or without SciPy) with the dense inverse."""
+    rng = np.random.default_rng(7)
+    n = 70
+    model = Model("large-cover")
+    xs = [model.add_var(f"x{j}") for j in range(n)]
+    for i in range(n):
+        picks = rng.choice(n, size=5, replace=False)
+        model.add_constr(lin_sum(xs[j] for j in picks) >= 1, f"row{i}")
+    model.set_objective(lin_sum((1.0 + rng.random()) * x for x in xs))
+    return model.to_standard_form()
+
+
+def _wide_eq_form():
+    """610 columns under an equality row and four cover rows: from
+    ``_SHIFT_PROACTIVE_COLS`` columns the cold solve starts on shifted
+    bounds.  (With the equality row alone the basis is 1 x 1, and its
+    spikes hold no entry a fault could poison.)"""
+    rng = np.random.default_rng(610)
+    model = Model("wide-eq")
+    xs = [model.add_var(f"x{j}", ub=1.0) for j in range(610)]
+    model.add_constr(lin_sum(xs) == 5, "pick")
+    for r in range(4):
+        weights = rng.uniform(0, 1, 610)
+        model.add_constr(lin_sum(float(w) * x for w, x in zip(weights, xs)) >= 2.0, f"cover{r}")
+    model.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(1, 2, 610), xs)))
+    return model.to_standard_form()
+
+
+#: Each LP with the rung that answers when its first cold attempt fails.
+_LADDER_FORMS = {
+    "small": (_lp_form, "bound-shift", "recovery_bound_shift"),
+    "cover-70": (_cover_form, "bound-shift", "recovery_bound_shift"),
+    "wide-610": (_wide_eq_form, "shift-fallback", "recovery_shift_fallback"),
+}
+
+_ONE_FAULT = {
+    "factorization": (FaultPlan(fail_factorizations=(1,)), faultinject.FACTORIZE),
+    "pivot": (FaultPlan(corrupt_pivots=(1,)), faultinject.PIVOT_FTRAN),
+    "spike": (FaultPlan(corrupt_spikes=(1,)), faultinject.SPIKE),
+}
+
+
 class TestRecoveryLadder:
-    """Each rung recovers from its scripted fault with the answer unchanged."""
+    """A cold solve makes two attempts, and a recovered answer is unchanged."""
 
-    @pytest.mark.parametrize(
-        "plan, rung, counter",
-        [
-            (FaultPlan(fail_factorizations=(1,)), "perturb", "recovery_perturb"),
-            (
-                FaultPlan(fail_factorizations=(1, 2)),
-                "bound-shift",
-                "recovery_bound_shift",
-            ),
-            (FaultPlan(fail_factorizations=(1, 2, 3)), "bland", "recovery_bland"),
-            (FaultPlan(corrupt_pivots=(1,)), "perturb", "recovery_perturb"),
-        ],
-    )
-    def test_cold_ladder_recovers_unchanged(self, plan, rung, counter):
-        with faultinject.inject(plan) as armed:
-            sol = solve_standard_form(_lp_form())
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(LP_OPTIMUM)
-        assert sum(armed.fired.values()) >= 1
-        assert instr.get(counter) == 1
-        assert f"resilience-{rung}" in _rung_rules()
-
-    def test_exhausted_ladder_raises(self):
-        # One failed factorization per rung: exact, perturbed, shifted, Bland.
-        plan = FaultPlan(fail_factorizations=(1, 2, 3, 4))
-        with faultinject.inject(plan) as armed:
-            with pytest.raises(SolverError, match="could not recover"):
-                solve_standard_form(_lp_form())
-        assert armed.fired[faultinject.FACTORIZE] == 4
-        # Every rung ran once on the way down.
-        assert _rung_rules() == [
-            "resilience-perturb",
-            "resilience-bound-shift",
-            "resilience-bland",
-        ]
-        assert instr.get("recovery_perturb") == 1
-        assert instr.get("recovery_bound_shift") == 1
-        assert instr.get("recovery_bland") == 1
-
-    def test_large_lp_skips_the_repeated_bound_shift(self):
-        # From _SHIFT_PROACTIVE_COLS columns the ladder opens with the
-        # bound-shifted solve, so its reactive rerun (same seed) is skipped:
-        # factorizations 1-3 fail the proactive shift, the exact solve and
-        # the perturbed solve, and Bland pricing answers.
-        rng = np.random.default_rng(610)
-        model = Model("wide-eq")
-        xs = [model.add_var(f"x{j}", ub=1.0) for j in range(610)]
-        model.add_constr(lin_sum(xs) == 5, "pick")
-        model.set_objective(lin_sum(float(c) * x for c, x in zip(rng.uniform(1, 2, 610), xs)))
-        form = model.to_standard_form()
+    @pytest.mark.parametrize("fault", sorted(_ONE_FAULT))
+    @pytest.mark.parametrize("lp", sorted(_LADDER_FORMS))
+    def test_one_fault_is_answered_by_the_second_attempt(self, lp, fault):
+        # A failed factorization, a NaN pivot column or a poisoned spike (it
+        # NaNs every later FTRAN/BTRAN through that factor) ends the first
+        # attempt; the second, on the other bounds, reaches the clean optimum.
+        make_form, rung, counter = _LADDER_FORMS[lp]
+        plan, site = _ONE_FAULT[fault]
+        form = make_form()
         clean = solve_standard_form(form)
         assert clean.status is SolveStatus.OPTIMAL
         instr.reset()
-        with faultinject.inject(FaultPlan(fail_factorizations=(1, 2, 3))) as armed:
+        with faultinject.inject(plan) as armed:
             faulted = solve_standard_form(form)
-        assert armed.fired[faultinject.FACTORIZE] == 3
+        assert armed.fired == {site: 1}
         assert faulted.status is SolveStatus.OPTIMAL
         assert faulted.objective == pytest.approx(clean.objective)
-        assert instr.get("recovery_shift_fallback") == 1
-        assert instr.get("recovery_perturb") == 1
-        assert instr.get("recovery_bound_shift") == 0
-        assert instr.get("recovery_bland") == 1
+        assert _rung_rules() == [f"resilience-{rung}"]
+        fired = {k: v for k, v in instr.snapshot().items() if k.startswith("recovery_") and v}
+        assert fired == {counter: 1}
 
-    def test_corrupt_spike_recovers_unchanged(self):
-        """A poisoned Forrest-Tomlin spike must be survived, not believed.
+    @pytest.mark.parametrize("lp", sorted(_LADDER_FORMS))
+    def test_two_faults_raise_could_not_recover(self, lp):
+        # One failed factorization per attempt: nothing is left to try.
+        make_form, rung, counter = _LADDER_FORMS[lp]
+        form = make_form()
+        with faultinject.inject(FaultPlan(fail_factorizations=(1, 2))) as armed:
+            with pytest.raises(SolverError, match="could not recover"):
+                solve_standard_form(form)
+        assert armed.fired[faultinject.FACTORIZE] == 2
+        assert _rung_rules() == [f"resilience-{rung}"]
+        assert instr.get(counter) == 1
 
-        The corrupted spike poisons every subsequent FTRAN/BTRAN through
-        that factor, so the solver sees non-finite pivots and must climb
-        the ladder to a clean factorization -- ending at the unfaulted
-        optimum.
-        """
-        with faultinject.inject(FaultPlan(corrupt_spikes=(1,))) as armed:
-            sol = solve_standard_form(_lp_form())
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(LP_OPTIMUM)
-        assert armed.fired[faultinject.SPIKE] >= 1
-        assert instr.get("recovery_perturb") >= 1
-        assert "resilience-perturb" in _rung_rules()
-
-    def test_warm_refactorize_rung(self):
+    @pytest.mark.parametrize("stored_factor", [True, False], ids=["stored-factor", "factor-None"])
+    def test_warm_numerical_trouble_falls_back_cold(self, stored_factor):
+        # The solves are deterministic, so a warm start that hits numerical
+        # trouble is not retried warm, whether its token carries a factor to
+        # resume or not: it solves cold, counted as a warm stall.
         form = _lp_form()
         solver = SimplexSolver(form)
         sol, basis = solver.solve()
         assert sol.objective == pytest.approx(LP_OPTIMUM)
+        if not stored_factor:
+            basis = replace(basis, factor=None)
         # Tighten the cover row (lowered as -x - y <= -3) so the stored basis
         # is primal infeasible and the warm dual repair must pivot.
         form.b_ub[0] = -5.0
@@ -253,24 +258,8 @@ class TestRecoveryLadder:
         assert sol2.status is SolveStatus.OPTIMAL
         assert sol2.objective == pytest.approx(10.0)  # (0, 5)
         assert armed.fired[faultinject.PIVOT_FTRAN] == 1
-        assert instr.get("recovery_refactorize") == 1
-        assert "resilience-refactorize" in _rung_rules()
-
-    def test_fresh_token_skips_the_refactorize_rung(self):
-        # A token without a stored factor was factorized fresh by the warm
-        # attempt itself, so a refactorize retry would repeat that work:
-        # the failure goes straight to the cold ladder.
-        form = _lp_form()
-        solver = SimplexSolver(form)
-        _, basis = solver.solve()
-        form.b_ub[0] = -5.0
-        with faultinject.inject(FaultPlan(corrupt_pivots=(1,))) as armed:
-            sol, _ = solver.solve(warm_basis=replace(basis, factor=None))
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.objective == pytest.approx(10.0)
-        assert armed.fired[faultinject.PIVOT_FTRAN] == 1
-        assert instr.get("recovery_refactorize") == 0
-        assert "resilience-refactorize" not in _rung_rules()
+        assert _rung_rules() == ["resilience-warm-stall"]
+        assert instr.get("warm_repair_stalls") == 1
 
     def test_warm_repair_stall_falls_back_cold(self):
         form = _lp_form()
@@ -284,28 +273,6 @@ class TestRecoveryLadder:
         assert armed.fired[faultinject.WARM_REPAIR] == 1
         assert instr.get("warm_repair_stalls") == 1
         assert "resilience-warm-stall" in _rung_rules()
-
-    def test_large_basis_ladder_covers_both_factor_paths(self):
-        # 70 rows is above ``_SPLU_MIN_DIM``: with SciPy present this drives
-        # the SuperLU factor path, and under the ``numeric_core`` dense-LU
-        # legs (or without SciPy) the dense-inverse path.
-        rng = np.random.default_rng(7)
-        n = 70
-        model = Model("large-cover")
-        xs = [model.add_var(f"x{j}") for j in range(n)]
-        for i in range(n):
-            picks = rng.choice(n, size=5, replace=False)
-            model.add_constr(lin_sum(xs[j] for j in picks) >= 1, f"row{i}")
-        model.set_objective(lin_sum((1.0 + rng.random()) * x for x in xs))
-        form = model.to_standard_form()
-        clean = solve_standard_form(form)
-        assert clean.status is SolveStatus.OPTIMAL
-        with faultinject.inject(FaultPlan(fail_factorizations=(1,))) as armed:
-            faulted = solve_standard_form(form)
-        assert faulted.status is SolveStatus.OPTIMAL
-        assert faulted.objective == pytest.approx(clean.objective)
-        assert armed.fired[faultinject.FACTORIZE] >= 1
-        assert instr.get("recovery_perturb") == 1
 
     def test_fuzz_faulted_solves_match_clean(self):
         """Seeded random LPs: a recovered solve equals the unfaulted one."""
@@ -329,6 +296,12 @@ class TestRecoveryLadder:
                 faulted = solve_standard_form(form)
             assert faulted.status is SolveStatus.OPTIMAL
             assert faulted.objective == pytest.approx(clean.objective)
+
+
+def test_every_rung_has_a_counter_and_every_recovery_counter_a_rung():
+    counters = set(_RUNG_COUNTERS.values())
+    assert counters <= set(instr.COUNTER_NAMES)
+    assert {name for name in instr.COUNTER_NAMES if name.startswith("recovery_")} <= counters
 
 
 class TestDeadlinePropagation:

@@ -21,6 +21,7 @@ from repro.optim import (
 )
 from repro.optim import branch_and_bound, faultinject, simplex
 from repro.optim import instrumentation as instr
+from repro.optim.backend import BACKEND_OPTIONS
 from repro.optim.branch_and_bound import solve_milp
 from repro.optim.errors import InfeasibleError, SolverError, UnboundedError
 from repro.optim.simplex import solve_standard_form
@@ -300,6 +301,55 @@ class TestOptionPlumbing:
     def test_time_limit_accepted_by_branch_and_bound(self):
         m = _mip_example()
         sol = m.solve(backend="branch-and-bound", time_limit=30.0)
+        assert sol.objective == pytest.approx(15.0, abs=1e-6)
+
+
+#: Values each numeric option must reject, whatever the backend.
+_BAD_OPTION_VALUES = {
+    "time_limit": [0, -2.5, math.inf, math.nan, "10"],
+    "max_iter": [0, -3, 2.5, True, "10"],
+    "max_nodes": [0, -1, 1.5],
+    "mip_gap": [-1.0, math.nan, math.inf, "0.1"],
+}
+
+
+class TestOptionValues:
+    """Bad numeric option values raise ``ValueError`` before any solve."""
+
+    @pytest.mark.parametrize(
+        "backend, name, bad",
+        [
+            (backend, name, bad)
+            for backend in ("scipy", "simplex", "branch-and-bound")
+            for name, values in _BAD_OPTION_VALUES.items()
+            if name in BACKEND_OPTIONS[backend]
+            for bad in values
+        ],
+    )
+    def test_bad_value_raises_everywhere(self, backend, name, bad):
+        # One-shot, at session construction and per session solve.
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            solve_model(_mip_example(), backend=backend, **{name: bad})
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            _mip_example().session(backend=backend, **{name: bad})
+        session = _mip_example().session(backend=backend)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            session.solve(**{name: bad})
+
+    @pytest.mark.parametrize("name", sorted(_BAD_OPTION_VALUES))
+    def test_none_leaves_the_default(self, name):
+        sol = solve_model(_mip_example(), backend="branch-and-bound", **{name: None})
+        assert sol.objective == pytest.approx(15.0, abs=1e-6)
+
+    def test_numpy_scalars_are_valid(self):
+        sol = solve_model(
+            _mip_example(),
+            backend="branch-and-bound",
+            max_iter=np.int64(1_000),
+            max_nodes=np.int32(1_000),
+            mip_gap=np.float64(0.0),
+            time_limit=np.float64(60.0),
+        )
         assert sol.objective == pytest.approx(15.0, abs=1e-6)
 
 

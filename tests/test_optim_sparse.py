@@ -136,24 +136,6 @@ class TestSparseMatrix:
         assert A.nnz == 2
         assert np.array_equal(A.data, [1.0, 2.0])
 
-    def test_hstack_columns_matches_dense_concat(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            m = int(rng.integers(1, 7))
-            nl, nr = rng.integers(0, 6, size=2)
-            dl = rng.random((m, nl)) * (rng.random((m, nl)) < 0.5)
-            dr = rng.random((m, nr)) * (rng.random((m, nr)) < 0.5)
-            stacked = SparseMatrix.hstack_columns(
-                SparseMatrix.from_dense(dl), SparseMatrix.from_dense(dr)
-            )
-            np.testing.assert_allclose(stacked.to_dense(), np.hstack((dl, dr)))
-
-    def test_hstack_columns_rejects_row_mismatch(self):
-        with pytest.raises(ValueError, match="row mismatch"):
-            SparseMatrix.hstack_columns(
-                SparseMatrix.zeros((2, 1)), SparseMatrix.zeros((3, 1))
-            )
-
     def test_append_columns_widens_in_place(self):
         rng = np.random.default_rng(31)
         base = rng.random((5, 3)) * (rng.random((5, 3)) < 0.5)

@@ -21,9 +21,10 @@ loop builds sparse pivot rows from the nonzero rows of rho; they change no
 flip or pivot.
 
 A large LP without equality rows starts from the all-slack basis through the
-same warm path; a start that stalls or fails falls back to the primal ladder
-as the ``slack-fallback`` rung, not as a warm stall, and an LP with equality
-rows keeps the primal start.
+same warm path; a start that stalls or fails falls back to the primal cold
+solve as the ``slack-fallback`` rung, not as a warm stall, and an LP with
+equality rows keeps the primal start.  A warm start that hits numerical
+trouble falls back to the cold solve as a warm stall.
 """
 
 from __future__ import annotations
@@ -137,17 +138,18 @@ def test_bound_flips_share_one_ftran_before_the_pivot(cold_solves, dual_ftrans):
     assert warm.objective == pytest.approx(1.0 + 1.1 + 1.2 + 1.3 + 0.5 * 1.4)
 
 
-def test_non_finite_flip_update_climbs_the_recovery_ladder(cold_solves, dual_ftrans):
+def test_non_finite_flip_update_falls_back_cold(cold_solves, dual_ftrans):
     # A NaN in the summed-flip FTRAN raises _NonFinitePivot before the pivot;
-    # the warm ladder retries on a fresh factorization and reaches the optimum.
+    # the warm start falls back to a cold solve (counted as a warm stall),
+    # whose primal pivots reach the optimum.
     form, solver, basis = _short_cover(5, 4.5)
     instr.reset()
     with faultinject.inject(FaultPlan(corrupt_pivots=(1,))) as armed:
         sol, _ = solver.solve(warm_basis=basis)
     assert armed.fired[faultinject.PIVOT_FTRAN] == 1
-    assert dual_ftrans == [[1, simplex_mod._NonFinitePivot], [2, None]]
-    assert instr.get("recovery_refactorize") == 1
-    assert cold_solves[0] == 1
+    assert dual_ftrans == [[1, simplex_mod._NonFinitePivot]]
+    assert instr.get("warm_repair_stalls") == 1
+    assert cold_solves[0] == 2
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(solve_standard_form(form).objective, abs=1e-12)
 
@@ -489,15 +491,14 @@ def test_stalled_slack_start_falls_back_to_the_primal_ladder(cold_solves):
     assert armed.fired.get(faultinject.WARM_REPAIR) == 1
     assert instr.get("recovery_slack_fallback") == 1
     assert instr.get("warm_repair_stalls") == 0
-    assert instr.get("recovery_refactorize") == 0
     assert cold_solves[0] == 1
     assert faulted.status is SolveStatus.OPTIMAL
     assert faulted.objective == pytest.approx(clean.objective, abs=1e-9)
 
 
-def test_failed_slack_start_skips_the_refactorize_retry(cold_solves, monkeypatch):
-    # The slack basis is factorized from scratch on the first attempt, so
-    # numerical trouble goes straight to the primal ladder.
+def test_failed_slack_start_solves_cold(cold_solves, monkeypatch):
+    # Numerical trouble in the all-slack start goes straight to the primal
+    # cold solve, counted as the slack-fallback rung and not as a warm stall.
     form = _wide_cover_lp(equality_row=False)
     clean = solve_standard_form(form)
 
@@ -508,7 +509,6 @@ def test_failed_slack_start_skips_the_refactorize_retry(cold_solves, monkeypatch
     instr.reset()
     faulted = solve_standard_form(form)
     assert instr.get("recovery_slack_fallback") == 1
-    assert instr.get("recovery_refactorize") == 0
     assert instr.get("warm_repair_stalls") == 0
     assert cold_solves[0] == 1
     assert faulted.status is SolveStatus.OPTIMAL
